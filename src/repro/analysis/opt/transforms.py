@@ -72,6 +72,7 @@ from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.types import IntType
 from repro.ir.values import ConstantInt, ConstantNull, UndefValue, Value
 from repro.passes.coverage import COV_GUARD
+from repro.vm.semantics import fold_binop, fold_cast, fold_icmp
 
 #: Externs that never write target-visible memory: pure readers
 #: (``memcmp``/``strlen``…), output/PRNG/clock natives, process-exit
@@ -155,74 +156,9 @@ class Transform:
 
 
 # ---------------------------------------------------------------------------
-# constant folding with the VM's exact semantics
+# constant folding: fold_binop / fold_icmp / fold_cast come from
+# repro.vm.semantics, the same functions the VM executes with
 # ---------------------------------------------------------------------------
-
-
-def fold_binop(op: str, type_: IntType, lhs: int, rhs: int) -> int | None:
-    """Fold a binary op exactly as ``VM._exec_binop`` would.
-
-    Returns ``None`` when the VM would trap (division/remainder by
-    zero): the instruction must then stay in place so the trap — part
-    of the observable crash identity — still fires at runtime.
-    """
-    if op == "add":
-        return type_.wrap(lhs + rhs)
-    if op == "sub":
-        return type_.wrap(lhs - rhs)
-    if op == "mul":
-        return type_.wrap(lhs * rhs)
-    if op == "and":
-        return lhs & rhs
-    if op == "or":
-        return lhs | rhs
-    if op == "xor":
-        return lhs ^ rhs
-    if op == "shl":
-        return type_.wrap(lhs << rhs) if rhs < type_.bits else 0
-    if op == "lshr":
-        return (lhs >> rhs) if rhs < type_.bits else 0
-    if op == "ashr":
-        return type_.wrap(type_.to_signed(lhs) >> min(rhs, type_.bits - 1))
-    if rhs == 0:
-        return None  # the VM traps; never fold a trap away
-    if op in ("sdiv", "srem"):
-        a, b = type_.to_signed(lhs), type_.to_signed(rhs)
-        if op == "sdiv":
-            quotient = abs(a) // abs(b)
-            return type_.wrap(quotient if (a < 0) == (b < 0) else -quotient)
-        remainder = abs(a) % abs(b)
-        return type_.wrap(remainder if a >= 0 else -remainder)
-    if op == "udiv":
-        return lhs // rhs
-    return lhs % rhs  # urem
-
-
-def fold_icmp(predicate: str, type_: IntType, lhs: int, rhs: int) -> int:
-    """Fold an integer comparison exactly as ``VM._exec_icmp`` would."""
-    if predicate in ("slt", "sle", "sgt", "sge"):
-        lhs, rhs = type_.to_signed(lhs), type_.to_signed(rhs)
-    if predicate == "eq":
-        return 1 if lhs == rhs else 0
-    if predicate == "ne":
-        return 1 if lhs != rhs else 0
-    if predicate in ("slt", "ult"):
-        return 1 if lhs < rhs else 0
-    if predicate in ("sle", "ule"):
-        return 1 if lhs <= rhs else 0
-    if predicate in ("sgt", "ugt"):
-        return 1 if lhs > rhs else 0
-    return 1 if lhs >= rhs else 0
-
-
-def fold_cast(op: str, from_type, to_type, value: int) -> int | None:
-    """Fold the integer-valued casts; ``None`` for the pointer-typed
-    results we cannot represent as a constant."""
-    if op in ("trunc", "zext", "ptrtoint"):
-        return to_type.wrap(value)
-    if op == "sext":
-        return to_type.wrap(from_type.to_signed(value))
-    return None  # bitcast / inttoptr produce pointers
 
 
 def _const_operand(value: Value) -> int | None:

@@ -19,82 +19,57 @@ the command line.  Beyond the paper's fixed tables, the
 statistics — see docs/experiments.md.
 """
 
-from repro.experiments.ablation import (
-    FdRewindResult,
-    PassAblationResult,
-    PassAblationRow,
-    run_fd_rewind_ablation,
-    run_pass_ablation,
-)
-from repro.experiments.campaign_runner import (
-    MECHANISMS,
-    build_executor,
-    clear_campaign_cache,
-    run_campaign,
-)
-from repro.experiments.config import HORIZON_24H_NS, ExperimentConfig
-from repro.experiments.correctness_exp import (
-    CorrectnessResult,
-    CorrectnessRow,
-    run_correctness,
-)
-from repro.experiments.figures import (
-    GlobalPassFigure,
-    MechanismPoint,
-    RestoreLifecycleFigure,
-    SpectrumResult,
-    TimelineFigure,
-    run_global_pass_figure,
-    run_restore_lifecycle,
-    run_spectrum,
-    run_timeline,
-)
-from repro.experiments.i2s_exp import (
-    GUARD_TARGETS,
-    I2SGuardResult,
-    I2SGuardRow,
-    guard_cells,
-    run_i2s_guards,
-)
-from repro.experiments.motivation import (
-    DEMO_SOURCE,
-    MotivationReport,
-    build_demo_modules,
-    run_motivation,
-)
-from repro.experiments.stats import (
-    a12_magnitude,
-    bootstrap_ci,
-    format_count,
-    format_table,
-    mann_whitney_p,
-    mann_whitney_u,
-    mean,
-    median,
-    stddev,
-    vargha_delaney_a12,
-)
-from repro.experiments.table5 import Table5Result, Table5Row, run_table5
-from repro.experiments.table6 import Table6Result, Table6Row, edge_universe, run_table6
-from repro.experiments.table7 import BUG_TARGETS, Table7Result, Table7Row, run_table7
+import importlib
 
-__all__ = [
-    "FdRewindResult", "PassAblationResult", "PassAblationRow",
-    "run_fd_rewind_ablation", "run_pass_ablation",
-    "MECHANISMS", "build_executor", "clear_campaign_cache", "run_campaign",
-    "HORIZON_24H_NS", "ExperimentConfig",
-    "CorrectnessResult", "CorrectnessRow", "run_correctness",
-    "GlobalPassFigure", "MechanismPoint", "RestoreLifecycleFigure",
-    "SpectrumResult", "TimelineFigure",
-    "run_global_pass_figure", "run_restore_lifecycle", "run_spectrum",
-    "run_timeline",
-    "GUARD_TARGETS", "I2SGuardResult", "I2SGuardRow", "guard_cells",
-    "run_i2s_guards",
-    "DEMO_SOURCE", "MotivationReport", "build_demo_modules", "run_motivation",
-    "a12_magnitude", "bootstrap_ci", "format_count", "format_table",
-    "mann_whitney_p", "mann_whitney_u", "mean", "median", "stddev",
-    "vargha_delaney_a12",
-    "Table5Result", "Table5Row", "run_table5",
-    "Table6Result", "Table6Row", "edge_universe", "run_table6",
-    "BUG_TARGETS", "Table7Result", "Table7Row", "run_table7",
-]
+# Public names by defining submodule.  Submodules load on first access
+# (PEP 562), so importing one of them — e.g. ``campaign_runner`` from
+# the fuzzing CLI — does not pull in the rest, nor scipy through
+# ``stats``.
+_SUBMODULES = {
+    "ablation": (
+        "FdRewindResult", "PassAblationResult", "PassAblationRow",
+        "run_fd_rewind_ablation", "run_pass_ablation",
+    ),
+    "campaign_runner": (
+        "MECHANISMS", "build_executor", "clear_campaign_cache", "run_campaign",
+    ),
+    "config": ("HORIZON_24H_NS", "ExperimentConfig"),
+    "correctness_exp": ("CorrectnessResult", "CorrectnessRow", "run_correctness"),
+    "figures": (
+        "GlobalPassFigure", "MechanismPoint", "RestoreLifecycleFigure",
+        "SpectrumResult", "TimelineFigure", "run_global_pass_figure",
+        "run_restore_lifecycle", "run_spectrum", "run_timeline",
+    ),
+    "i2s_exp": (
+        "GUARD_TARGETS", "I2SGuardResult", "I2SGuardRow", "guard_cells",
+        "run_i2s_guards",
+    ),
+    "motivation": (
+        "DEMO_SOURCE", "MotivationReport", "build_demo_modules", "run_motivation",
+    ),
+    "stats": (
+        "a12_magnitude", "bootstrap_ci", "format_count", "format_table",
+        "mann_whitney_p", "mann_whitney_u", "mean", "median", "stddev",
+        "vargha_delaney_a12",
+    ),
+    "table5": ("Table5Result", "Table5Row", "run_table5"),
+    "table6": ("Table6Result", "Table6Row", "edge_universe", "run_table6"),
+    "table7": ("BUG_TARGETS", "Table7Result", "Table7Row", "run_table7"),
+}
+_EXPORTS = {name: module for module, names in _SUBMODULES.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))
+
+
+__all__ = list(_EXPORTS)

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import random
 
-from scipy import stats
-
 
 def mann_whitney_p(sample_a: list[float], sample_b: list[float]) -> float:
     """Two-sided Mann-Whitney U p-value; 1.0 when degenerate."""
@@ -21,6 +19,8 @@ def mann_whitney_p(sample_a: list[float], sample_b: list[float]) -> float:
         return 1.0
     if set(sample_a) == set(sample_b) and len(set(sample_a)) == 1:
         return 1.0
+    from scipy import stats  # deferred: ~1 s of import, needed only here
+
     try:
         result = stats.mannwhitneyu(sample_a, sample_b, alternative="two-sided")
     except ValueError:

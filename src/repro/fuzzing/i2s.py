@@ -7,7 +7,7 @@ fields, version tags, checksum reconstructions.  Native fuzzers need a
 shadow "cmplog" binary to see those operands; here the VM interprets
 every ``icmp``/``switch`` itself, so an opt-in :class:`CmpObserver`
 records the concrete operand pairs as a side effect of execution
-(interpreter tap in :meth:`repro.vm.interpreter.VM._exec_icmp`,
+(a tap in the ``icmp``/``switch`` closures of :mod:`repro.vm.engine`,
 null-object fast path when disabled, following the telemetry pattern).
 
 On top of the tap, :class:`I2SStage` runs the classic pipeline once

@@ -72,6 +72,15 @@ class Instruction(User):
     def function(self) -> "Function | None":
         return self.parent.parent if self.parent is not None else None
 
+    def _touch_code(self) -> None:
+        block = self.parent
+        if block is not None and block.parent is not None:
+            block.parent.invalidate_code()
+
+    def set_name(self, name: str) -> None:
+        super().set_name(name)
+        self._touch_code()
+
     def erase_from_parent(self) -> None:
         """Remove this instruction from its block and drop its operands."""
         if self.parent is None:
@@ -545,6 +554,7 @@ class Switch(Instruction):
     def add_case(self, const: int, block: "BasicBlock") -> None:
         assert isinstance(self.value.type, IntType)
         self.cases.append((self.value.type.wrap(const), block))
+        self._touch_code()
 
     def retarget_successor(self, old: "BasicBlock", new: "BasicBlock") -> int:
         """Rewrite every edge to *old* (default or case) to point at

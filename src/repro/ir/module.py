@@ -94,6 +94,12 @@ class Function(GlobalValue):
         #: (predecessors, reachability, dominators) are recomputed only
         #: after a real mutation.
         self.cfg_epoch = 0
+        #: Monotonic code-mutation counter: bumped by everything that
+        #: bumps ``cfg_epoch`` and also by operand rewrites and renames,
+        #: which leave the CFG alone.  The VM keys its compiled form of
+        #: this function (``_compiled``, see :mod:`repro.vm.engine`) on it.
+        self.code_epoch = 0
+        self._compiled = None
 
     def invalidate_cfg(self) -> None:
         """Invalidate cached CFG-derived analyses for this function.
@@ -103,6 +109,15 @@ class Function(GlobalValue):
         assigning ``br.target``), which the IR cannot observe.
         """
         self.cfg_epoch += 1
+        self.code_epoch += 1
+
+    def invalidate_code(self) -> None:
+        """Invalidate the VM's compiled form only (the CFG is unchanged)."""
+        self.code_epoch += 1
+
+    def set_name(self, name: str) -> None:
+        super().set_name(name)
+        self.invalidate_code()
 
     @property
     def is_declaration(self) -> bool:

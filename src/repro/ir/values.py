@@ -95,12 +95,16 @@ class User(Value):
     def operands(self) -> tuple[Value, ...]:
         return tuple(self._operands)
 
+    def _touch_code(self) -> None:
+        """Operand-mutation hook (instructions invalidate compiled code)."""
+
     def add_operand(self, value: Value) -> int:
         index = len(self._operands)
         use = Use(self, index)
         self._operands.append(value)
         self._uses_of_operands.append(use)
         value.add_use(use)
+        self._touch_code()
         return index
 
     def set_operand(self, index: int, value: Value) -> None:
@@ -109,6 +113,7 @@ class User(Value):
         old.remove_use(use)
         self._operands[index] = value
         value.add_use(use)
+        self._touch_code()
 
     def get_operand(self, index: int) -> Value:
         return self._operands[index]
@@ -126,6 +131,7 @@ class User(Value):
         value.remove_use(use)
         for later in self._uses_of_operands[index:]:
             later.index -= 1
+        self._touch_code()
         return value
 
     def drop_all_operands(self) -> None:
@@ -134,6 +140,7 @@ class User(Value):
             value.remove_use(use)
         self._operands.clear()
         self._uses_of_operands.clear()
+        self._touch_code()
 
     @property
     def num_operands(self) -> int:

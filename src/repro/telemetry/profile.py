@@ -17,10 +17,10 @@ from dataclasses import dataclass
 def _cost_tables() -> tuple[dict[str, int], dict[str, int]]:
     # Deferred import: profile is loaded by repro.telemetry.__init__,
     # which the interpreter's collaborators import in turn.
-    from repro.vm.interpreter import _INST_COST
+    from repro.vm.engine import INST_COST
     from repro.vm.libc import NATIVE_BASE_COST
 
-    opcode_ns = {cls.__name__: ns for cls, ns in _INST_COST.items()}
+    opcode_ns = {cls.__name__: ns for cls, ns in INST_COST.items()}
     return opcode_ns, dict(NATIVE_BASE_COST)
 
 

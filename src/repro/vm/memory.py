@@ -191,17 +191,28 @@ class AddressSpace:
         return VMTrap(TrapKind.UNADDRESSABLE,
                       f"{mode} of {size} bytes at unmapped address 0x{address:x}", site)
 
+    # Every access below is one bisection and one bounds test on the
+    # region found; anything outside a live region takes _fault.
+
     def check(self, address: int, size: int, write: bool, site: CrashSite) -> MemoryRegion:
-        region = self.find_region(address)
-        if region is None or address + size > region.limit:
-            raise self._fault(address, size, write, site)
-        if write and not region.writable:
-            raise VMTrap(
-                TrapKind.INVALID_WRITE,
-                f"write to read-only {region.kind} region {region.tag!r} at 0x{address:x}",
-                site,
-            )
-        return region
+        bases = self._bases
+        index = bisect.bisect_right(bases, address) - 1
+        if index >= 0:
+            region = self._regions[bases[index]]
+            offset = address - region.base
+            if offset < region.size and offset + size <= region.size:
+                if write and not region.writable:
+                    raise self._read_only(region, address, site)
+                return region
+        raise self._fault(address, size, write, site)
+
+    @staticmethod
+    def _read_only(region: MemoryRegion, address: int, site: CrashSite) -> VMTrap:
+        return VMTrap(
+            TrapKind.INVALID_WRITE,
+            f"write to read-only {region.kind} region {region.tag!r} at 0x{address:x}",
+            site,
+        )
 
     def read(self, address: int, size: int, site: CrashSite) -> bytes:
         region = self.check(address, size, False, site)
@@ -215,10 +226,29 @@ class AddressSpace:
         self.bytes_written += len(data)
 
     def read_int(self, address: int, size: int, site: CrashSite) -> int:
-        return int.from_bytes(self.read(address, size, site), "little")
+        bases = self._bases
+        index = bisect.bisect_right(bases, address) - 1
+        if index >= 0:
+            region = self._regions[bases[index]]
+            offset = address - region.base
+            if offset < region.size and offset + size <= region.size:
+                return int.from_bytes(region.data[offset:offset + size], "little")
+        raise self._fault(address, size, False, site)
 
     def write_int(self, address: int, value: int, size: int, site: CrashSite) -> None:
-        self.write(address, (value & ((1 << (size * 8)) - 1)).to_bytes(size, "little"), site)
+        bases = self._bases
+        index = bisect.bisect_right(bases, address) - 1
+        if index >= 0:
+            region = self._regions[bases[index]]
+            offset = address - region.base
+            if offset < region.size and offset + size <= region.size:
+                if not region.writable:
+                    raise self._read_only(region, address, site)
+                region.data[offset:offset + size] = (
+                    value & ((1 << (size << 3)) - 1)).to_bytes(size, "little")
+                self.bytes_written += size
+                return
+        raise self._fault(address, size, True, site)
 
     def read_cstring(self, address: int, site: CrashSite, limit: int = 1 << 16) -> bytes:
         """Read a NUL-terminated string (without the terminator)."""

@@ -176,3 +176,27 @@ class TestConfig:
     def test_env_budget(self, monkeypatch):
         monkeypatch.setenv("REPRO_BUDGET_MS", "7")
         assert ExperimentConfig().budget_ns == 7_000_000
+
+
+def test_fuzzing_cli_imports_do_not_load_scipy():
+    """The package imports lazily: the CLI path never pays for scipy."""
+    import os
+    import subprocess
+    import sys
+
+    code = ("import sys, repro.fuzzing.__main__, repro.experiments.campaign_runner; "
+            "print('scipy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_lazy_package_exports_resolve():
+    import repro.experiments as experiments
+
+    assert set(experiments.__all__) <= set(dir(experiments))
+    for name in experiments.__all__:
+        assert getattr(experiments, name) is not None
+    with pytest.raises(AttributeError):
+        experiments.no_such_entry_point

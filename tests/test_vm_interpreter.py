@@ -53,6 +53,45 @@ class TestEngine:
         assert vm.run_function(func, [1]) == 100
         assert vm.run_function(func, [0]) == 200
 
+    def test_operand_rewrite_invalidates_compiled_code(self):
+        module = Module("m")
+        func = module.add_function("f", FunctionType(I32, [I32]))
+        func.ensure_args(["x"])
+        b = IRBuilder(func.append_block("entry"))
+        total = b.add(func.args[0], b.i32(5))
+        b.ret(total)
+        vm = VM(module)
+        vm.load()
+        assert vm.run_function(func, [1]) == 6
+        cfg_epoch = func.cfg_epoch
+        total.set_operand(1, b.i32(10))
+        assert func.cfg_epoch == cfg_epoch      # dominator caches survive
+        fresh = VM(module)
+        fresh.load()
+        assert fresh.run_function(func, [1]) == 11
+
+    def test_compiled_code_is_shared_across_vms(self):
+        vm, module = make_vm("int main(int argc, char **argv) { return argc + 1; }")
+        main = module.get_function("main")
+        assert vm.run_function(main, [4, 0]) == 5
+        code = main._compiled
+        other = VM(module)
+        other.load()
+        assert other.run_function(main, [7, 0]) == 8
+        assert main._compiled is code
+
+    def test_missing_argument_traps_as_undefined_when_used(self):
+        module = Module("m")
+        func = module.add_function("f", FunctionType(I32, [I32, I32]))
+        func.ensure_args(["x", "y"])
+        b = IRBuilder(func.append_block("entry"))
+        b.ret(b.add(func.args[1], b.i32(1)))
+        vm = VM(module)
+        vm.load()
+        with pytest.raises(VMTrap, match="use of undefined value %y"):
+            vm.run_function(func, [1])
+        assert vm.run_function(func, [1, 2]) == 3
+
     def test_instruction_limit_raises(self):
         vm, module = make_vm(
             "int main(int argc, char **argv) { while (1) { argc++; } return 0; }"
