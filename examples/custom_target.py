@@ -11,7 +11,7 @@ Run:  python examples/custom_target.py
 
 import random
 
-from repro.correctness import check_dataflow_equivalence, run_memcheck
+from repro.correctness import check_equivalence, run_memcheck
 from repro.execution import ClosureXExecutor
 from repro.fuzzing import Campaign, CampaignConfig
 from repro.sim_os import Kernel
@@ -112,9 +112,10 @@ def main():
     module = SPEC.build_closurex()
     rng = random.Random(0)
     pollution = [bytes(rng.randrange(256) for _ in range(20)) for _ in range(30)]
-    dataflow = check_dataflow_equivalence(module, SPEC.seeds[0], pollution)
+    dataflow, controlflow = check_equivalence(module, SPEC.seeds[0], pollution)
     memcheck = run_memcheck(module, SPEC.seeds * 5)
     print(f"\ndataflow equivalence after pollution: {dataflow.describe()}")
+    print(f"control-flow equivalence after pollution: {controlflow.describe()}")
     print(f"memcheck: {memcheck.describe()}")
 
 

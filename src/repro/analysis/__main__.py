@@ -82,9 +82,10 @@ def lint_main() -> int:
 
 
 def _dynamic_instructions(module, seeds) -> int:
-    from repro.analysis.opt import observe
+    from repro.execution.differential import REPLAY_BOOT_TIME, observe
 
-    return sum(observe(module, seed).instructions for seed in seeds)
+    return sum(observe(module, seed, boot_time=REPLAY_BOOT_TIME).instructions
+               for seed in seeds)
 
 
 def optimize_target(spec) -> dict:

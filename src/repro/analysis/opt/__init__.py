@@ -10,8 +10,9 @@ The package splits into three layers:
 - :mod:`~repro.analysis.opt.validation` — the machine checks that gate
   every transform: strict-SSA verification, a def-use structural
   self-check, and differential replay against the unoptimized module
-  over a seed corpus (bit-identical coverage maps, crash identities,
-  output, and filesystem state).
+  over a seed corpus through :mod:`repro.execution.differential`
+  (bit-identical coverage maps, crash identities, output, and
+  filesystem state).
 - :mod:`~repro.analysis.opt.optimizer` — the driver that runs
   transform rounds, rolls back anything validation rejects, and emits
   an :class:`~repro.analysis.opt.optimizer.OptimizationReport`.
@@ -48,13 +49,7 @@ from repro.analysis.opt.transforms import (
     fold_cast,
     fold_icmp,
 )
-from repro.analysis.opt.validation import (
-    ModuleCheckpoint,
-    ReplayObservation,
-    observe,
-    replay_mismatches,
-    structural_errors,
-)
+from repro.analysis.opt.validation import ModuleCheckpoint, structural_errors
 
 __all__ = [
     "DEFAULT_MAX_ROUNDS", "NO_CHANGE", "REJECTED", "UNVALIDATED",
@@ -65,6 +60,5 @@ __all__ = [
     "OptContext", "RedundantLoadElimination", "SimplifyCFG",
     "SimplifyInstructions", "Transform", "TransformResult",
     "fold_binop", "fold_cast", "fold_icmp",
-    "ModuleCheckpoint", "ReplayObservation", "observe",
-    "replay_mismatches", "structural_errors",
+    "ModuleCheckpoint", "structural_errors",
 ]

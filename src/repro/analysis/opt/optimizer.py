@@ -6,7 +6,8 @@ in rounds until a fixpoint or ``max_rounds``.  Every transform that
 changed the module must then survive the three validation checks of
 :mod:`repro.analysis.opt.validation` — strict-SSA verification, the
 structural self-check, and differential replay of the seed corpus
-against observations of the *unoptimized* module.  A transform that
+against observations of the *unoptimized* module
+(:mod:`repro.execution.differential`).  A transform that
 fails any check is rolled back from a text checkpoint and reported as
 ``rejected``; the pipeline continues with the remaining transforms, so
 one bad rewrite can never poison the module or mask the others.
@@ -34,12 +35,13 @@ from repro.analysis.opt.transforms import (
     SimplifyInstructions,
     Transform,
 )
-from repro.analysis.opt.validation import (
-    ModuleCheckpoint,
-    ReplayObservation,
+from repro.analysis.opt.validation import ModuleCheckpoint, structural_errors
+from repro.execution.differential import (
+    BEHAVIOUR_FIELDS,
+    REPLAY_BOOT_TIME,
+    Observation,
+    diff,
     observe,
-    replay_mismatches,
-    structural_errors,
 )
 from repro.ir.module import Module
 from repro.ir.verifier import VerificationError, verify_module
@@ -164,9 +166,10 @@ class Optimizer:
             replays=0,
             validated_against=len(self.seeds) if self.validate else 0,
         )
-        baseline: list[ReplayObservation] = []
+        baseline: list[Observation] = []
         if self.validate and self.seeds:
-            baseline = [observe(module, seed) for seed in self.seeds]
+            baseline = [observe(module, seed, boot_time=REPLAY_BOOT_TIME)
+                        for seed in self.seeds]
             report.replays += len(self.seeds)
         for round_number in range(1, self.max_rounds + 1):
             report.rounds = round_number
@@ -200,7 +203,7 @@ class Optimizer:
     # ------------------------------------------------------------------
 
     def _run_one(self, transform: Transform, ctx: OptContext,
-                 baseline: list[ReplayObservation], round_number: int,
+                 baseline: list[Observation], round_number: int,
                  report: OptimizationReport) -> tuple[TransformOutcome,
                                                       OptContext]:
         module = self.module
@@ -257,7 +260,7 @@ class Optimizer:
             error=outcome.errors[0] if outcome.errors else "",
         )
 
-    def _validation_errors(self, baseline: list[ReplayObservation],
+    def _validation_errors(self, baseline: list[Observation],
                            report: OptimizationReport) -> list[str]:
         module = self.module
         try:
@@ -270,10 +273,15 @@ class Optimizer:
         if baseline:
             report.replays += len(self.seeds)
             self.metrics.counter("analysis.opt.replays").inc(len(self.seeds))
-            mismatches = replay_mismatches(baseline, module,
-                                           list(self.seeds))
-            if mismatches:
-                return [f"replay: {m}" for m in mismatches]
+            mismatches = []
+            for i, (seed, reference) in enumerate(zip(self.seeds, baseline)):
+                got = observe(module, seed, boot_time=REPLAY_BOOT_TIME)
+                mismatch = diff(reference, got, BEHAVIOUR_FIELDS)
+                if mismatch is not None:
+                    mismatches.append(f"replay: input {i}: {mismatch}")
+                    if len(mismatches) == 3:
+                        break
+            return mismatches
         return []
 
 

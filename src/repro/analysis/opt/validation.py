@@ -11,11 +11,13 @@ Three machine checks gate every transform (no silent miscompiles):
    uses, stale phi arms) that the verifier's value-level checks can
    miss.
 3. **Differential replay** — the optimized module is re-executed on
-   the seed corpus in a throwaway VM (the
-   :mod:`repro.integrity.shadow` fresh-process discipline) and every
-   observation must be bit-identical to the unoptimized baseline:
-   status, return code, crash identity, coverage map, program output,
-   and the final virtual filesystem.
+   the seed corpus in a throwaway VM by the differential oracle
+   (:func:`repro.execution.differential.observe`, boot time pinned)
+   and must :func:`~repro.execution.differential.diff` clean against
+   the unoptimized baseline on every behavioural field: status, return
+   code, crash identity, coverage map, program output, and the final
+   virtual filesystem.  Checks 1 and 2 live here; the optimizer driver
+   runs check 3.
 
 A transform failing any check is rolled back from a
 :class:`ModuleCheckpoint` and reported as rejected.
@@ -23,158 +25,10 @@ A transform failing any check is rolled back from a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.ir.instructions import Instruction, Phi
 from repro.ir.module import Module
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
-
-#: Pinned ``vm.boot_time`` for replays: ``time()`` is the VM's one
-#: source of cross-process non-determinism (each VM normally observes a
-#: fresh boot-sequence number), and a differential check needs both
-#: sides of the diff to see the same clock.
-REPLAY_BOOT_TIME = 1_700_000_000
-
-#: Per-replay instruction budget (matches the harness default).
-REPLAY_INSTRUCTION_LIMIT = 2_000_000
-
-
-@dataclass(frozen=True)
-class ReplayObservation:
-    """Everything externally observable about one replay of one input.
-
-    ``instructions`` is carried for reporting but deliberately excluded
-    from :meth:`matches` — changing the dynamic instruction count is
-    the optimizer's entire point.
-    """
-
-    status: str
-    return_code: int | None
-    crash: tuple[str, str, str] | None
-    coverage: bytes
-    output: tuple[str, ...]
-    files: tuple[tuple[str, bytes], ...]
-    instructions: int
-
-    def matches(self, other: "ReplayObservation") -> bool:
-        return (
-            self.status == other.status
-            and self.return_code == other.return_code
-            and self.crash == other.crash
-            and self.coverage == other.coverage
-            and self.output == other.output
-            and self.files == other.files
-        )
-
-    def describe_mismatch(self, other: "ReplayObservation") -> str:
-        """Human-readable first point of divergence against *other*."""
-        if self.status != other.status:
-            return f"status {self.status} != {other.status}"
-        if self.return_code != other.return_code:
-            return f"return code {self.return_code} != {other.return_code}"
-        if self.crash != other.crash:
-            return f"crash identity {self.crash} != {other.crash}"
-        if self.coverage != other.coverage:
-            return "coverage maps differ"
-        if self.output != other.output:
-            return "program output differs"
-        if self.files != other.files:
-            return "filesystem contents differ"
-        return "observations match"
-
-
-def _crash_identity(trap) -> tuple[str, str, str] | None:
-    if trap is None:
-        return None
-    kind, function, block = trap.identity()
-    return (getattr(kind, "name", str(kind)), function, block)
-
-
-def observe(module: Module, data: bytes,
-            instruction_limit: int = REPLAY_INSTRUCTION_LIMIT
-            ) -> ReplayObservation:
-    """Replay *data* against *module* in a throwaway VM.
-
-    ClosureX-instrumented modules (``target_main`` present) run one
-    harness iteration without restoration; anything else runs ``main``
-    directly, file-input style.  Deterministic by construction: fresh
-    filesystem, pinned boot time, default PRNG state.
-    """
-    from repro.passes.rename_main import TARGET_MAIN
-
-    if module.has_function(TARGET_MAIN):
-        return _observe_harness(module, data, instruction_limit)
-    return _observe_plain(module, data, instruction_limit)
-
-
-def _observe_harness(module: Module, data: bytes,
-                     instruction_limit: int) -> ReplayObservation:
-    from repro.runtime.harness import ClosureXHarness, HarnessConfig
-    from repro.vm.filesystem import VirtualFS
-
-    fs = VirtualFS()
-    harness = ClosureXHarness(
-        module, fs=fs,
-        config=HarnessConfig(instruction_limit=instruction_limit),
-    )
-    vm = harness.boot(charge_load=False)
-    vm.boot_time = REPLAY_BOOT_TIME
-    iteration = harness.run_test_case(data, restore=False)
-    return ReplayObservation(
-        status=iteration.status.name,
-        return_code=iteration.return_code,
-        crash=_crash_identity(iteration.trap),
-        coverage=bytes(vm.coverage_map),
-        output=tuple(vm.output),
-        files=tuple(sorted(fs.files.items())),
-        instructions=iteration.instructions,
-    )
-
-
-def _observe_plain(module: Module, data: bytes,
-                   instruction_limit: int) -> ReplayObservation:
-    from repro.execution.common import call_target
-    from repro.vm.filesystem import VirtualFS
-    from repro.vm.interpreter import VM
-
-    input_path = "/fuzz/input"
-    fs = VirtualFS()
-    fs.write_file(input_path, data)
-    vm = VM(module, fs=fs)
-    vm.load()
-    vm.boot_time = REPLAY_BOOT_TIME
-    vm.instruction_limit = vm.instructions_executed + instruction_limit
-    argc, argv = vm.setup_argv([module.name, input_path])
-    status, return_code, trap = call_target(
-        vm, module.get_function("main"), [argc, argv]
-    )
-    return ReplayObservation(
-        status=status.name,
-        return_code=return_code,
-        crash=_crash_identity(trap),
-        coverage=bytes(vm.coverage_map),
-        output=tuple(vm.output),
-        files=tuple(sorted(fs.files.items())),
-        instructions=vm.instructions_executed,
-    )
-
-
-def replay_mismatches(baseline: list[ReplayObservation], module: Module,
-                      inputs: list[bytes], limit: int = 3) -> list[str]:
-    """Replay *inputs* against *module* and diff each observation
-    against the corresponding *baseline* entry; returns up to *limit*
-    mismatch descriptions (empty list = bit-identical)."""
-    errors: list[str] = []
-    for i, (data, reference) in enumerate(zip(inputs, baseline)):
-        got = observe(module, data)
-        if not reference.matches(got):
-            errors.append(f"replay of input {i}: "
-                          f"{reference.describe_mismatch(got)}")
-            if len(errors) >= limit:
-                break
-    return errors
-
 
 # ---------------------------------------------------------------------------
 # structural self-check

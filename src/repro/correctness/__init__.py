@@ -1,17 +1,20 @@
-"""Correctness validation: the paper's §6.1.4 machinery."""
+"""Correctness validation: the paper's §6.1.4 machinery.
 
-from repro.correctness.controlflow import (
+- :mod:`repro.correctness.equivalence` — dataflow and control-flow
+  equivalence of a fresh process and ClosureX after pollution, both
+  verdicts from one set of observations made by the differential
+  oracle (:mod:`repro.execution.differential`), plus the
+  restore-returns-to-post-boot invariant.
+- :mod:`repro.correctness.memcheck` — the Valgrind stand-in: memory
+  lifecycle violations and residual heap over an input queue.
+"""
+
+from repro.correctness.equivalence import (
     ControlFlowReport,
-    check_controlflow_equivalence,
-    fresh_trace,
-    polluted_trace,
-)
-from repro.correctness.dataflow import (
     DataflowReport,
-    check_dataflow_equivalence,
+    check_equivalence,
     check_restoration_resets_state,
-    fresh_snapshot,
-    polluted_snapshot,
+    equivalence_verdicts,
 )
 from repro.correctness.memcheck import (
     LIFECYCLE_KINDS,
@@ -20,9 +23,8 @@ from repro.correctness.memcheck import (
 )
 
 __all__ = [
-    "ControlFlowReport", "check_controlflow_equivalence",
-    "fresh_trace", "polluted_trace",
-    "DataflowReport", "check_dataflow_equivalence",
-    "check_restoration_resets_state", "fresh_snapshot", "polluted_snapshot",
+    "ControlFlowReport", "DataflowReport",
+    "check_equivalence", "check_restoration_resets_state",
+    "equivalence_verdicts",
     "LIFECYCLE_KINDS", "MemcheckReport", "run_memcheck",
 ]

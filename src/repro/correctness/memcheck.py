@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.execution.differential import PersistentProcess
 from repro.ir.module import Module
-from repro.runtime.harness import ClosureXHarness, HarnessConfig
+from repro.runtime.harness import HarnessConfig
 from repro.vm.errors import TrapKind, VMTrap
 
 #: Trap kinds that indicate a memory-lifecycle violation.
@@ -60,15 +61,12 @@ def run_memcheck(
     config: HarnessConfig | None = None,
 ) -> MemcheckReport:
     """Execute *inputs* under ClosureX and audit memory behaviour."""
-    harness = ClosureXHarness(module, config=config)
-    harness.boot()
-    assert harness.vm is not None
-    vm = harness.vm
-    baseline_chunks = dict(vm.heap.snapshot_live_set())
+    process = PersistentProcess(module, config)
+    baseline_chunks = dict(process.harness.vm.heap.snapshot_live_set())
     report = MemcheckReport()
 
     for index, data in enumerate(inputs):
-        result = harness.run_test_case(data, restore=True)
+        result = process.run(data)
         report.inputs_checked += 1
         if result.restore is not None:
             report.total_swept_chunks += result.restore.leaked_chunks
@@ -79,13 +77,10 @@ def run_memcheck(
         ):
             report.lifecycle_violations.append((index, result.trap))
         if not result.status.survivable:
-            # Crash/hang kills the process in reality; restart it.
-            harness = ClosureXHarness(module, config=config)
-            harness.boot()
-            assert harness.vm is not None
-            vm = harness.vm
-            baseline_chunks = dict(vm.heap.snapshot_live_set())
+            # The crash/hang killed the process; the restarted one has
+            # its own post-boot heap.
+            baseline_chunks = dict(process.harness.vm.heap.snapshot_live_set())
             continue
-        if vm.heap.snapshot_live_set() != baseline_chunks:
+        if process.harness.vm.heap.snapshot_live_set() != baseline_chunks:
             report.residual_chunk_failures.append(index)
     return report

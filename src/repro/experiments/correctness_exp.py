@@ -1,7 +1,8 @@
 """Experiment E4 — §6.1.4: semantic-correctness validation.
 
 For each target: build a queue (the seeds plus inputs discovered by a
-short ClosureX campaign), then for a sample of queue entries check
+short ClosureX campaign), then for a sample of queue entries check, from
+one polluted run per input,
 
 - dataflow equivalence  (fresh snapshot vs ClosureX-after-pollution), and
 - control-flow equivalence (fresh edge trace vs ClosureX-after-pollution),
@@ -16,11 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.correctness import (
-    check_controlflow_equivalence,
-    check_dataflow_equivalence,
-    run_memcheck,
-)
+from repro.correctness import check_equivalence, run_memcheck
 from repro.experiments.campaign_runner import run_campaign
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.stats import format_table
@@ -116,13 +113,12 @@ def run_correctness(
         sample = queue[: min(sample_size, len(queue))]
         for data in sample:
             pollution = [rng.choice(queue) for _ in range(pollution_rounds)]
-            dataflow = check_dataflow_equivalence(module, data, pollution)
+            dataflow, controlflow = check_equivalence(module, data, pollution)
             row.inputs_checked += 1
             if dataflow.equivalent:
                 row.dataflow_equivalent += 1
             else:
                 row.dataflow_diverged += 1
-            controlflow = check_controlflow_equivalence(module, data, pollution)
             if controlflow.nondeterministic:
                 row.nondet_excluded += 1
             elif controlflow.equivalent:

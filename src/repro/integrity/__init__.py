@@ -13,14 +13,16 @@ when it fails:
 - :mod:`repro.integrity.oracle` — :class:`RestoreOracle`, captures a
   pristine post-boot baseline and compares digests after every restore
   (configurable cadence).
-- :mod:`repro.integrity.shadow` — :class:`ShadowDiffer`, replays an
-  input in a throwaway fresh VM and diffs coverage + outcome against
-  the persistent run, catching divergence the digest can't attribute.
 - :mod:`repro.integrity.ledger` — :class:`LeakLedger`, attribution,
   quarantine, and the JSONL diagnostic bundle.
 - :mod:`repro.integrity.sentinel` — :class:`IntegritySentinel` +
   :class:`EscalationPolicy`: detect → targeted repair → VM respawn →
-  forkserver fallback (via the existing supervised ladder).
+  forkserver fallback (via the existing supervised ladder).  Every
+  ``shadow_every``-th exec it also replays the input in a throwaway
+  fresh VM through the differential oracle
+  (:mod:`repro.execution.differential`) and diffs outcome + coverage
+  against the persistent run, catching divergence the digest can't
+  attribute.
 
 All digest/compare/shadow work is charged to the virtual clock through
 :class:`repro.sim_os.costs.CostModel` knobs, so enabling the sentinel
@@ -44,7 +46,6 @@ from repro.integrity.sentinel import (
     IntegritySentinel,
     SentinelStats,
 )
-from repro.integrity.shadow import ShadowDiffer, ShadowObservation
 
 __all__ = [
     "DIGEST_DIMENSIONS", "StateDigest", "compute_digest", "digest_cost",
@@ -52,5 +53,4 @@ __all__ = [
     "LeakEvent", "LeakLedger", "QuarantinedInput",
     "IntegrityVerdict", "RestoreOracle",
     "EscalationPolicy", "IntegritySentinel", "SentinelStats",
-    "ShadowDiffer", "ShadowObservation",
 ]

@@ -12,8 +12,8 @@ What a digest deliberately does **not** cover: heap chunk *contents*
 (init-phase chunks are process-invariant in identity but their bytes
 are legitimately target-writable) and the libc PRNG state (not part of
 ClosureX's restore contract).  Pollution through those channels shows
-up as behavioural divergence instead, which is the
-:class:`~repro.integrity.shadow.ShadowDiffer`'s job to catch.
+up as behavioural divergence instead, which the sentinel's shadow
+replays (:func:`repro.execution.differential.observe`) catch.
 
 Digests are plain frozen dataclasses of CRC32 values, so they are
 deterministic across processes and pickle round-trips — the property

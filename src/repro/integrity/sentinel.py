@@ -1,7 +1,8 @@
 """IntegritySentinel: detect → attribute → repair → escalate.
 
-The sentinel wires the oracle, the shadow differ, and the ledger into
-the ClosureX executor's exec loop:
+The sentinel wires the restore oracle, shadow replays through the
+differential oracle (:mod:`repro.execution.differential`), and the
+ledger into the ClosureX executor's exec loop:
 
 1. **detect** — after every ``digest_every``-th restore, digest the
    four state dimensions and diff against the pristine baseline.
@@ -33,14 +34,18 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.execution.common import ExecResult
+from repro.execution.differential import Observation, diff, observe
 from repro.integrity.faults import IntegrityFault
 from repro.integrity.ledger import LeakEvent, LeakLedger
 from repro.integrity.oracle import IntegrityVerdict, RestoreOracle
-from repro.integrity.shadow import ShadowDiffer
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.execution.closurex import ClosureXExecutor
     from repro.runtime.harness import IterationResult
+
+
+#: What a shadow replay must agree with the persistent run on.
+SHADOW_FIELDS = ("status", "return_code", "coverage")
 
 
 def _input_key(data: bytes) -> str:
@@ -93,7 +98,6 @@ class IntegritySentinel:
         self.policy = policy if policy is not None else EscalationPolicy()
         self.ledger = LeakLedger(bundle_path)
         self.oracle = RestoreOracle()
-        self.shadow: ShadowDiffer | None = None
         self.stats = SentinelStats()
         self.exec_index = 0
 
@@ -106,8 +110,6 @@ class IntegritySentinel:
         executor.kernel.charge(cost_ns)
         self.stats.baselines += 1
         self.stats.digest_ns += cost_ns
-        if self.shadow is None:
-            self.shadow = ShadowDiffer(executor)
         telemetry = executor.telemetry
         if telemetry.enabled:
             telemetry.metrics.counter("integrity.baselines").inc()
@@ -262,26 +264,33 @@ class IntegritySentinel:
         data: bytes,
         iteration: "IterationResult",
     ) -> None:
-        assert self.shadow is not None
         assert executor.harness is not None and executor.harness.vm is not None
-        observation = self.shadow.replay(data)
-        executor.kernel.charge(observation.cost_ns)
+        # Ground truth must be fault-free: the shadow shares neither the
+        # VM, the filesystem nor the chaos injector with the persistent
+        # run (polling the injector would also advance its counters).
+        shadow = observe(executor.module, data, config=executor.config)
+        cost_ns = shadow.cost_ns + executor.kernel.costs.shadow_dispatch_ns
+        executor.kernel.charge(cost_ns)
         self.stats.shadow_runs += 1
-        self.stats.shadow_ns += observation.cost_ns
+        self.stats.shadow_ns += cost_ns
         telemetry = executor.telemetry
         if telemetry.enabled:
             telemetry.metrics.counter("integrity.shadow_runs").inc()
-        persistent_coverage = executor.harness.vm.coverage_map
-        if observation.matches(iteration, persistent_coverage):
+        persistent = Observation(
+            status=iteration.status,
+            return_code=iteration.return_code,
+            trap=iteration.trap,
+            coverage=bytes(executor.harness.vm.coverage_map),
+        )
+        divergence = diff(shadow, persistent, SHADOW_FIELDS)
+        if divergence is None:
             return
 
         self.stats.divergences += 1
         key = _input_key(data)
         detail = (
-            f"persistent run diverged from fresh-process ground truth "
-            f"(persistent {iteration.status.value}/rc={iteration.return_code} "
-            f"vs shadow {observation.status.value}/"
-            f"rc={observation.return_code})"
+            f"persistent run diverged from fresh-process ground truth: "
+            f"{divergence}"
         )
         if telemetry.enabled:
             telemetry.metrics.counter("integrity.divergences").inc()
@@ -290,18 +299,18 @@ class IntegritySentinel:
                     "integrity.divergence",
                     exec_index=self.exec_index,
                     persistent=iteration.status.value,
-                    shadow=observation.status.value,
+                    shadow=shadow.status.value,
                 )
         if self.policy.quarantine_divergent:
             self.ledger.quarantine_input(
                 key, data,
                 ExecResult(
-                    status=observation.status,
-                    return_code=observation.return_code,
-                    trap=observation.trap,
-                    coverage=bytearray(observation.coverage),
-                    ns=observation.cost_ns,
-                    instructions=observation.instructions,
+                    status=shadow.status,
+                    return_code=shadow.return_code,
+                    trap=shadow.trap,
+                    coverage=bytearray(shadow.coverage),
+                    ns=cost_ns,
+                    instructions=shadow.instructions,
                 ),
                 at_ns=executor.clock.now_ns,
             )

@@ -1,18 +1,19 @@
 """Tests for the §6.1.4 correctness machinery — including the negative
 case: naive persistent mode must FAIL the same checks ClosureX passes."""
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.correctness import (
-    check_controlflow_equivalence,
-    check_dataflow_equivalence,
+    check_equivalence,
     check_restoration_resets_state,
-    fresh_snapshot,
-    fresh_trace,
+    equivalence_verdicts,
     run_memcheck,
 )
+from repro.execution.differential import observe
+from repro.runtime.harness import IterationStatus
 from repro.targets import get_target
 from repro.vm.snapshot import diff_snapshots
 
@@ -37,28 +38,40 @@ def giftext():
 class TestDataflowEquivalence:
     def test_seed_equivalent_after_pollution(self, giftext):
         spec, module, pollution = giftext
-        report = check_dataflow_equivalence(module, spec.seeds[0], pollution)
+        report, _ = check_equivalence(module, spec.seeds[0], pollution)
         assert report.equivalent, report.describe()
 
     def test_all_seeds_equivalent(self, giftext):
         spec, module, pollution = giftext
         for seed in spec.seeds:
-            report = check_dataflow_equivalence(module, seed, pollution[:20])
+            report, _ = check_equivalence(module, seed, pollution[:20])
             assert report.equivalent, report.describe()
 
     def test_fresh_snapshots_are_reproducible(self, giftext):
         spec, module, _ = giftext
-        snap_a, status_a = fresh_snapshot(module, spec.seeds[0])
-        snap_b, status_b = fresh_snapshot(module, spec.seeds[0])
-        assert status_a == status_b
-        assert diff_snapshots(snap_a, snap_b).equivalent
+        a = observe(module, spec.seeds[0], snapshot=True)
+        b = observe(module, spec.seeds[0], snapshot=True)
+        assert a.status == b.status
+        assert diff_snapshots(a.snapshot, b.snapshot).equivalent
+
+    def test_status_divergence_with_equal_state_diverges(self, giftext):
+        # A crash-versus-OK pair is a divergence even when the masked
+        # state happens to match: the exit disposition is observable.
+        spec, module, _ = giftext
+        fresh = observe(module, spec.seeds[0], snapshot=True, edges=True)
+        assert fresh.status is IterationStatus.OK
+        polluted = dataclasses.replace(fresh, status=IterationStatus.CRASH)
+        report, _ = equivalence_verdicts([fresh], polluted)
+        assert not report.equivalent
+        assert report.divergence.startswith("status")
+        assert report.polluted_status is IterationStatus.CRASH
 
     def test_nondeterministic_target_masked(self):
         spec = get_target("freetype")
         module = spec.build_closurex()
         pollution = pollution_inputs(spec, count=20)
-        report = check_dataflow_equivalence(module, spec.seeds[1], pollution,
-                                            nondet_runs=4)
+        report, _ = check_equivalence(module, spec.seeds[1], pollution,
+                                      nondet_runs=4)
         assert report.equivalent, report.describe()
         assert report.masked_bytes > 0  # the PRNG-touched cache was masked
 
@@ -66,17 +79,20 @@ class TestDataflowEquivalence:
 class TestControlFlowEquivalence:
     def test_seed_trace_equivalent(self, giftext):
         spec, module, pollution = giftext
-        report = check_controlflow_equivalence(module, spec.seeds[0], pollution)
+        _, report = check_equivalence(module, spec.seeds[0], pollution)
         assert report.equivalent, report.describe()
         assert report.fresh_edges > 10
 
     def test_fresh_traces_deterministic(self, giftext):
         spec, module, _ = giftext
-        assert fresh_trace(module, spec.seeds[0]) == fresh_trace(module, spec.seeds[0])
+        a = observe(module, spec.seeds[0], edges=True)
+        b = observe(module, spec.seeds[0], edges=True)
+        assert a.edges is not None
+        assert a.edges == b.edges
 
     def test_exit_path_also_equivalent(self, giftext):
         _spec, module, pollution = giftext
-        report = check_controlflow_equivalence(module, b"\x01\x02", pollution[:10])
+        _, report = check_equivalence(module, b"\x01\x02", pollution[:10])
         assert report.equivalent or report.nondeterministic
 
 
@@ -105,7 +121,7 @@ class TestNaivePersistentFailsTheseChecks:
         spec = get_target("giftext")
         # fresh ground truth (instrumented build, single run)
         module = spec.build_closurex()
-        ground_truth, _ = fresh_snapshot(module, spec.seeds[0])
+        ground_truth = observe(module, spec.seeds[0], snapshot=True).snapshot
 
         # naive persistent: same input after pollution, NO restoration
         persistent = NaivePersistentExecutor(

@@ -2,13 +2,21 @@
 persistent process must be observationally identical to a fresh process
 of the baseline build on arbitrary inputs — same exit disposition, same
 return code, same coverage map.  This is the instrumented/uninstrumented
-equivalence the whole evaluation silently depends on."""
+equivalence the whole evaluation silently depends on.  The differential
+oracle that checks it must itself be reproducible: two observations of
+one input agree on every field it compares."""
 
 import random
 
 import pytest
 
 from repro.execution import ClosureXExecutor, FreshProcessExecutor
+from repro.execution.differential import (
+    ALL_FIELDS,
+    REPLAY_BOOT_TIME,
+    diff,
+    observe,
+)
 from repro.runtime.harness import IterationStatus
 from repro.sim_os import Kernel
 from repro.targets import get_target, target_names
@@ -69,3 +77,17 @@ def test_closurex_matches_fresh_baseline(name):
             assert fresh_result.trap.kind == closurex_result.trap.kind, (
                 f"{name}: trap kinds diverge on {data[:20]!r}"
             )
+
+
+@pytest.mark.parametrize("name", sorted(target_names()))
+def test_observe_is_reproducible(name):
+    """Two observations of one input, the second on a fresh build, agree
+    on every field the differential oracle compares."""
+    spec = get_target(name)
+    module = spec.build_closurex()
+    seed = spec.seeds[0]
+    first = observe(module, seed, snapshot=True, edges=True,
+                    boot_time=REPLAY_BOOT_TIME)
+    second = observe(spec.build_closurex(), seed, snapshot=True, edges=True,
+                     boot_time=REPLAY_BOOT_TIME)
+    assert diff(first, second, ALL_FIELDS) is None

@@ -317,6 +317,7 @@ class TestShadowDiffer:
             e for e in sentinel.ledger.events if e.source == "shadow"
         )
         assert shadow_event.escalated and not shadow_event.repaired
+        assert "return_code" in shadow_event.detail
         # Re-running the quarantined input replays ground truth instead
         # of re-polluting the process.
         assert executor.run(b"after").return_code == 1

@@ -26,9 +26,14 @@ from repro.analysis.opt import (
     fold_binop,
     fold_cast,
     fold_icmp,
-    observe,
     optimize_module,
     structural_errors,
+)
+from repro.execution.differential import (
+    BEHAVIOUR_FIELDS,
+    REPLAY_BOOT_TIME,
+    diff,
+    observe,
 )
 from repro.ir import cfg
 from repro.ir.instructions import (
@@ -49,6 +54,11 @@ from repro.ir.values import ConstantInt
 from repro.ir.verifier import verify_module
 from repro.minic import compile_c
 from repro.targets import get_target, target_names
+
+
+def _observe(module, data):
+    """Optimizer-validation replay: boot time pinned on both sides."""
+    return observe(module, data, boot_time=REPLAY_BOOT_TIME)
 
 I32 = int_type(32)
 
@@ -230,7 +240,8 @@ def test_mem2reg_never_stored_slot_reads_zero():
     )
     module, _report = _optimized(source)
     baseline = compile_c(source, "t")
-    assert observe(module, b"").matches(observe(baseline, b""))
+    assert diff(_observe(baseline, b""), _observe(module, b""),
+                BEHAVIOUR_FIELDS) is None
 
 
 def test_sccp_folds_constant_branches():
@@ -276,7 +287,8 @@ def test_rle_forwards_global_loads_across_calls():
     )
     module, report = _optimized(source)
     baseline = compile_c(source, "t")
-    assert observe(module, b"").matches(observe(baseline, b""))
+    assert diff(_observe(baseline, b""), _observe(module, b""),
+                BEHAVIOUR_FIELDS) is None
     rle = [o for o in report.outcomes
            if o.transform == "rle" and o.verdict == VALIDATED]
     assert rle and rle[0].details["loads_eliminated"] >= 1
@@ -291,25 +303,15 @@ def test_optimizer_reduces_dynamic_instructions():
     )
     baseline = compile_c(source, "t")
     module, _report = _optimized(source)
-    before = observe(baseline, b"")
-    after = observe(module, b"")
-    assert after.matches(before)
+    before = _observe(baseline, b"")
+    after = _observe(module, b"")
+    assert diff(before, after, BEHAVIOUR_FIELDS) is None
     assert after.instructions < before.instructions
 
 
 # ---------------------------------------------------------------------------
 # validation machinery
 # ---------------------------------------------------------------------------
-
-
-def test_observe_is_deterministic():
-    spec = get_target("md4c")
-    module = spec.build_closurex()
-    seed = spec.seeds[0]
-    assert observe(module, seed).matches(observe(module, seed))
-    # and a fresh build of the same target observes identically
-    assert observe(spec.build_closurex(), seed).matches(
-        observe(module, seed))
 
 
 def test_structural_check_catches_dangling_use():
@@ -371,7 +373,7 @@ def test_broken_transform_is_rejected_and_rolled_back():
     assert report.rejected == 1 and report.applied == 0
     outcome = report.outcomes[0]
     assert outcome.verdict == REJECTED
-    assert any("replay" in e and "return code" in e
+    assert any("replay" in e and "return_code" in e
                for e in outcome.errors), outcome.errors
     # the structured report still carries what the transform claimed
     assert outcome.details.get("returns_broken") == 1

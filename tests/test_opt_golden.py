@@ -14,12 +14,21 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.opt import observe
+from repro.execution.differential import (
+    BEHAVIOUR_FIELDS,
+    REPLAY_BOOT_TIME,
+    diff,
+    observe,
+)
 from repro.targets import get_target, target_names
 
 from tests.helpers import all_crash_inputs
 
 TARGETS = target_names()
+
+
+def _observe(module, data):
+    return observe(module, data, boot_time=REPLAY_BOOT_TIME)
 
 
 def _corpus(name) -> list[bytes]:
@@ -45,11 +54,10 @@ def builds():
 def test_every_input_observes_bit_identically(builds, name):
     baseline, optimized, _report = builds[name]
     for i, data in enumerate(_corpus(name)):
-        reference = observe(baseline, data)
-        got = observe(optimized, data)
-        assert reference.matches(got), (
-            f"{name} input {i}: {reference.describe_mismatch(got)}"
-        )
+        reference = _observe(baseline, data)
+        got = _observe(optimized, data)
+        mismatch = diff(reference, got, BEHAVIOUR_FIELDS)
+        assert mismatch is None, f"{name} input {i}: {mismatch}"
         assert got.coverage == reference.coverage
         assert got.crash == reference.crash
 
@@ -71,8 +79,8 @@ def test_dynamic_instruction_floor(builds):
     for name in TARGETS:
         baseline, optimized, _report = builds[name]
         seeds = get_target(name).seeds
-        before = sum(observe(baseline, s).instructions for s in seeds)
-        after = sum(observe(optimized, s).instructions for s in seeds)
+        before = sum(_observe(baseline, s).instructions for s in seeds)
+        after = sum(_observe(optimized, s).instructions for s in seeds)
         assert before > 0
         reductions[name] = 100.0 * (before - after) / before
     winners = [name for name, cut in reductions.items() if cut >= 10.0]
