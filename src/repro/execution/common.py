@@ -22,6 +22,7 @@ from repro.vm.errors import (
     ProcessExit,
     VMTrap,
 )
+from repro.vm.interpreter import CoverageMap
 
 #: Default per-test-case instruction budget (hang detection).
 DEFAULT_EXEC_INSTRUCTION_LIMIT = 2_000_000
@@ -73,9 +74,19 @@ class ExecResult:
     status: IterationStatus
     return_code: int | None
     trap: VMTrap | None
-    coverage: bytearray            # live view of the AFL-style map
+    coverage: CoverageMap          # live view of the AFL-style map
     ns: int                        # virtual time consumed, all-in
     instructions: int = 0
+
+    def __setstate__(self, state: dict) -> None:
+        # Checkpoints from before coverage carried a hit list pickled a
+        # plain bytearray here; quarantine replays feed the fuzzer's
+        # sparse novelty path, so derive the list on load.  (A pickled
+        # CoverageMap rebuilds its own list through from_dense.)
+        coverage = state["coverage"]
+        if not isinstance(coverage, CoverageMap):
+            state = {**state, "coverage": CoverageMap.from_dense(coverage)}
+        self.__dict__.update(state)
 
     @property
     def is_crash(self) -> bool:
@@ -206,7 +217,7 @@ class Executor:
         status: IterationStatus,
         return_code: int | None,
         trap: VMTrap | None,
-        coverage: bytearray,
+        coverage: CoverageMap,
         start_ns: int,
         instructions: int,
         **extra_attrs,

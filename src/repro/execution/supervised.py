@@ -42,7 +42,7 @@ from repro.integrity.faults import IntegrityFault
 from repro.runtime.harness import IterationStatus
 from repro.sim_os.pipes import PipeBroken
 from repro.telemetry import Telemetry
-from repro.vm.interpreter import COVERAGE_MAP_SIZE
+from repro.vm.interpreter import COVERAGE_MAP_SIZE, CoverageMap
 
 #: Exception types the supervisor treats as recoverable infrastructure
 #: failures.  Everything else (VMTrap, ProcessExit, ...) is target
@@ -369,7 +369,7 @@ class SupervisedExecutor(Executor):
             status=IterationStatus.HANG,
             return_code=None,
             trap=None,
-            coverage=bytearray(COVERAGE_MAP_SIZE),
+            coverage=CoverageMap(COVERAGE_MAP_SIZE),
             ns=self.clock.now_ns - start_ns,
             instructions=0,
         )

@@ -38,6 +38,7 @@ from repro.execution.differential import Observation, diff, observe
 from repro.integrity.faults import IntegrityFault
 from repro.integrity.ledger import LeakEvent, LeakLedger
 from repro.integrity.oracle import IntegrityVerdict, RestoreOracle
+from repro.vm.interpreter import CoverageMap
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.execution.closurex import ClosureXExecutor
@@ -308,7 +309,7 @@ class IntegritySentinel:
                     status=shadow.status,
                     return_code=shadow.return_code,
                     trap=shadow.trap,
-                    coverage=bytearray(shadow.coverage),
+                    coverage=CoverageMap.from_dense(shadow.coverage),
                     ns=cost_ns,
                     instructions=shadow.instructions,
                 ),

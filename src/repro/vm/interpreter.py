@@ -35,6 +35,39 @@ from repro.vm.memory import AddressSpace, MemoryRegion
 
 COVERAGE_MAP_SIZE = 1 << 16
 
+
+class CoverageMap(bytearray):
+    """One execution's AFL-style hitcount map and its hit list.
+
+    ``hits`` holds the index of every non-zero cell exactly once (in the
+    order the cells first left 0; ascending when derived by
+    :meth:`from_dense`, order never matters to readers).  Hitcounts saturate at 0xFF, so a cell
+    never returns to 0 and the list stays exact without ever being
+    rescanned; the fuzzer's novelty, signature and edge-count paths
+    (:mod:`repro.fuzzing.coverage`) walk it instead of the whole map.
+    """
+
+    __slots__ = ("hits",)
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.hits: list[int] = []
+
+    @classmethod
+    def from_dense(cls, cells) -> "CoverageMap":
+        """A map holding *cells*, with ``hits`` derived from them — the
+        constructor for producers other than the VM's guards."""
+        coverage = cls(cells)
+        coverage.hits = [index for index, value in enumerate(coverage) if value]
+        return coverage
+
+    def __reduce_ex__(self, protocol):
+        # bytearray's own reduce carries slot state only from Python 3.11
+        # on; rebuilding through from_dense keeps ``hits`` on every
+        # version, for pickles (checkpoints, fleet snapshots) and copies.
+        return (CoverageMap.from_dense, (bytes(self),))
+
+
 # Per-process "boot time" sequence: each VM (process) observes a
 # different time(), reproducing the natural cross-process
 # non-determinism real programs get from time-seeded PRNGs.
@@ -106,7 +139,7 @@ class VM:
         self._frame_templates: dict[CompiledFunction, list] = {}
 
         # Coverage state (AFL-style shared map semantics).
-        self.coverage_map = bytearray(COVERAGE_MAP_SIZE)
+        self.coverage_map = CoverageMap(COVERAGE_MAP_SIZE)
         self.prev_loc = 0
         self.trace_edges = False
         self.edge_trace: list[tuple[str, int]] = []
@@ -213,14 +246,21 @@ class VM:
             self.output.append(text)
 
     def reset_coverage(self) -> None:
-        self.coverage_map = bytearray(COVERAGE_MAP_SIZE)
+        # A fresh map rather than a clear: earlier ExecResults hold the
+        # old one as their coverage.
+        self.coverage_map = CoverageMap(COVERAGE_MAP_SIZE)
         self.prev_loc = 0
 
     def cov_guard(self, cur_loc: int) -> None:
         """AFL-style edge coverage update (called by instrumented code)."""
         index = (cur_loc ^ self.prev_loc) & (COVERAGE_MAP_SIZE - 1)
-        value = self.coverage_map[index]
-        self.coverage_map[index] = (value + 1) & 0xFF if value != 0xFF else 0xFF
+        coverage = self.coverage_map
+        value = coverage[index]
+        if value == 0:
+            coverage.hits.append(index)
+            coverage[index] = 1
+        elif value != 0xFF:
+            coverage[index] = value + 1
         self.prev_loc = (cur_loc >> 1) & (COVERAGE_MAP_SIZE - 1)
         if self.trace_edges:
             self.edge_trace.append((self.site.function, index))

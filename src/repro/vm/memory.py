@@ -251,15 +251,26 @@ class AddressSpace:
         raise self._fault(address, size, True, site)
 
     def read_cstring(self, address: int, site: CrashSite, limit: int = 1 << 16) -> bytes:
-        """Read a NUL-terminated string (without the terminator)."""
-        out = bytearray()
+        """Read a NUL-terminated string (without the terminator).
+
+        One bounds check per region, then a scan for the NUL.  A string
+        that runs off its region continues at the region's limit, where
+        the check faults on exactly the byte a byte-at-a-time read would
+        have faulted on; *limit* bytes without a NUL trap as
+        unterminated.
+        """
+        out = b""
         current = address
-        while len(out) < limit:
-            byte = self.read(current, 1, site)[0]
-            if byte == 0:
-                return bytes(out)
-            out.append(byte)
-            current += 1
+        end = address + limit
+        while current < end:
+            region = self.check(current, 1, False, site)
+            offset = current - region.base
+            stop = min(region.size, end - region.base)
+            nul = region.data.find(0, offset, stop)
+            if nul >= 0:
+                return out + region.data[offset:nul]
+            out += region.data[offset:stop]
+            current = region.base + stop
         raise VMTrap(TrapKind.INVALID_READ, f"unterminated string at 0x{address:x}", site)
 
     # -- accounting ---------------------------------------------------

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
+
 from repro.execution import FreshProcessExecutor
 from repro.execution.common import ExecResult
+from repro.fuzzing.coverage import VirginMap
 from repro.sim_os import Kernel
 from repro.targets.framework import TargetSpec
+from repro.vm.interpreter import COVERAGE_MAP_SIZE
 
 
 def run_fresh(spec: TargetSpec, data: bytes) -> ExecResult:
@@ -20,6 +24,52 @@ def run_fresh(spec: TargetSpec, data: bytes) -> ExecResult:
 def run_fresh_module(module, image_bytes: int, data: bytes) -> ExecResult:
     executor = FreshProcessExecutor(module, image_bytes, Kernel())
     return executor.run(data)
+
+
+# ---------------------------------------------------------------------------
+# dense coverage reference: the full-map numpy LUT implementation the
+# sparse hit-list path in repro.fuzzing.coverage replaced
+# ---------------------------------------------------------------------------
+
+_DENSE_LOOKUP = np.zeros(256, dtype=np.uint8)
+_DENSE_LOOKUP[1] = 1
+_DENSE_LOOKUP[2] = 2
+_DENSE_LOOKUP[3] = 4
+_DENSE_LOOKUP[4:8] = 8
+_DENSE_LOOKUP[8:16] = 16
+_DENSE_LOOKUP[16:32] = 32
+_DENSE_LOOKUP[32:128] = 64
+_DENSE_LOOKUP[128:256] = 128
+
+
+def dense_classify(raw_map) -> np.ndarray:
+    """Classify every cell of a dense hitcount buffer."""
+    return _DENSE_LOOKUP[np.frombuffer(bytes(raw_map), dtype=np.uint8)]
+
+
+class DenseVirgin:
+    """Full-map novelty: the verdicts ``VirginMap`` must reproduce."""
+
+    def __init__(self) -> None:
+        self.virgin = np.full(COVERAGE_MAP_SIZE, 0xFF, dtype=np.uint8)
+
+    def _verdict(self, classified: np.ndarray, fold: bool) -> int:
+        new_bits = classified & self.virgin
+        if not new_bits.any():
+            return VirginMap.NO_NEW
+        new_edges = bool((new_bits[self.virgin == 0xFF]).any())
+        if fold:
+            self.virgin &= ~classified
+        return VirginMap.NEW_EDGES if new_edges else VirginMap.NEW_COUNTS
+
+    def observe(self, raw_map) -> int:
+        return self._verdict(dense_classify(raw_map), fold=True)
+
+    def would_be_new(self, raw_map) -> int:
+        return self._verdict(dense_classify(raw_map), fold=False)
+
+    def observe_classified(self, signature: bytes) -> int:
+        return self._verdict(np.frombuffer(signature, dtype=np.uint8), True)
 
 
 # ---------------------------------------------------------------------------

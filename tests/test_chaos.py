@@ -30,12 +30,13 @@ from repro.execution import (
     SupervisionPolicy,
 )
 from repro.fuzzing import Campaign, CampaignConfig
-from repro.fuzzing.coverage import coverage_signature
+from repro.fuzzing.coverage import VirginMap, coverage_signature, edge_count
 from repro.minic import compile_c
 from repro.passes import PassManager, baseline_passes, closurex_passes
 from repro.runtime.harness import IterationStatus
 from repro.sim_os import Kernel
 from repro.vm.errors import VMError
+from repro.vm.interpreter import CoverageMap
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
@@ -241,6 +242,29 @@ class TestSupervisedRecovery:
         result = executor.run(b"hello")
         assert coverage_signature(result.coverage) == reference
         assert executor.supervision.recovered_by_site.get("shm") == 1
+
+    def test_shm_scrambled_map_is_not_returned(self):
+        plan = FaultPlan([FaultSpec(FaultSite.SHM, 0)])
+        executor = _supervised_forkserver(plan)
+        scrambled = []
+        scramble = executor._scramble_coverage
+        executor._scramble_coverage = lambda coverage: (
+            scrambled.append(coverage), scramble(coverage))
+        result = executor.run(b"hello")
+        assert len(scrambled) == 1
+        assert result.coverage is not scrambled[0]
+        assert sorted(result.coverage.hits) == [
+            index for index, value in enumerate(result.coverage) if value
+        ]
+
+    def test_fault_exhaustion_result_has_empty_hit_list(self):
+        plan = FaultPlan([FaultSpec(FaultSite.SHM, n) for n in range(3)])
+        executor = _supervised_forkserver(plan, SupervisionPolicy(max_retries=1))
+        result = executor.run(b"hello")
+        assert executor.supervision.gave_up == 1
+        assert result.coverage.hits == [] and not any(result.coverage)
+        assert edge_count(result.coverage) == 0
+        assert VirginMap().observe(result.coverage) == VirginMap.NO_NEW
 
     def test_no_double_count_regression(self):
         """Table 5 invariant: a retried execution is one logical exec."""
@@ -493,3 +517,50 @@ class TestSupervisedStateRoundTrip:
         assert revived.supervision.quarantine_hits == 1
         assert revived.supervision.quarantined_inputs == 1
         assert revived.run(b"hello").return_code == 1
+
+    def test_pickled_quarantine_keeps_hit_list(self):
+        """A snapshot's quarantined coverage map rebuilds its hit list
+        from the cells on load, without relying on bytearray slot
+        pickling (absent before Python 3.11)."""
+        import pickle
+
+        policy = SupervisionPolicy(max_kills_per_input=1)
+        executor = _supervised_forkserver(None, policy)
+        executor.exec_instruction_limit = 20_000
+        executor.run(b"Hang")                          # quarantined
+        snapshot = pickle.loads(pickle.dumps(
+            executor.snapshot_state(), protocol=pickle.HIGHEST_PROTOCOL))
+        (record,) = snapshot["quarantine"].values()
+        coverage = record.result.coverage
+        assert isinstance(coverage, CoverageMap) and coverage.hits
+        assert sorted(coverage.hits) == [
+            index for index, value in enumerate(coverage) if value
+        ]
+        # The reduce form alone, with no slot state applied, is complete.
+        rebuild, args, *state = coverage.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+        assert not any(state)
+        assert sorted(rebuild(*args).hits) == sorted(coverage.hits)
+
+    def test_pre_hit_list_quarantine_replays_with_hit_list(self):
+        """A snapshot whose quarantined result holds a plain bytearray,
+        as checkpoints written before coverage carried a hit list do,
+        replays with the list derived on load."""
+        import pickle
+
+        policy = SupervisionPolicy(max_kills_per_input=1)
+        golden = _supervised_forkserver(None, policy)
+        golden.exec_instruction_limit = 20_000
+        reference = golden.run(b"Hang").coverage     # quarantined
+        state = golden.snapshot_state()
+        for record in state["quarantine"].values():
+            record.result.coverage = bytearray(record.result.coverage)
+        snapshot = pickle.loads(pickle.dumps(state))
+        revived = _supervised_forkserver(None, policy)
+        revived.restore_state(snapshot)
+
+        replayed = revived.run(b"Hang").coverage
+        assert revived.supervision.quarantine_hits == 1
+        assert isinstance(replayed, CoverageMap)
+        assert sorted(replayed.hits) == sorted(reference.hits)
+        assert replayed.hits
+        assert coverage_signature(replayed) == coverage_signature(reference)

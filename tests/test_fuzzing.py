@@ -19,14 +19,14 @@ from repro.fuzzing import (
 )
 from repro.fuzzing.mutators import MAX_INPUT_SIZE
 from repro.vm.errors import CrashSite, TrapKind, VMTrap
-from repro.vm.interpreter import COVERAGE_MAP_SIZE
+from repro.vm.interpreter import COVERAGE_MAP_SIZE, CoverageMap
 
 
-def make_map(cells: dict[int, int]) -> bytearray:
+def make_map(cells: dict[int, int]) -> CoverageMap:
     out = bytearray(COVERAGE_MAP_SIZE)
     for index, value in cells.items():
         out[index] = value
-    return out
+    return CoverageMap.from_dense(out)
 
 
 class TestClassification:
@@ -39,7 +39,7 @@ class TestClassification:
 
     def test_edge_count(self):
         assert edge_count(make_map({5: 1, 99: 200})) == 2
-        assert edge_count(bytearray(COVERAGE_MAP_SIZE)) == 0
+        assert edge_count(CoverageMap(COVERAGE_MAP_SIZE)) == 0
 
     def test_signature_is_classified(self):
         signature = coverage_signature(make_map({3: 5}))

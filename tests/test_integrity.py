@@ -36,6 +36,7 @@ from repro.passes import PassManager, closurex_passes
 from repro.runtime.harness import ClosureXHarness, HarnessConfig
 from repro.sim_os import Kernel
 from repro.telemetry import TelemetryConfig, build_telemetry
+from tests.helpers import DenseVirgin, dense_classify
 
 #: Pollutes every dimension each exec: bumps a restored global, leaks a
 #: heap chunk (``scratch``) and a FILE handle (``g``).  With a working
@@ -324,6 +325,30 @@ class TestShadowDiffer:
         assert sentinel.stats.quarantine_hits >= 1
         # The respawned process serves untainted inputs correctly.
         assert executor.run(b"calm").return_code == 1
+
+
+    def test_quarantine_replay_novelty_matches_dense_reference(self):
+        policy = EscalationPolicy(digest_every=1, shadow_every=1)
+        executor, sentinel, _ = _supervised(
+            SOURCE_STICKY, "shadow-sparse", policy=policy,
+            config=HarnessConfig(**STICKY_CONFIG),
+        )
+        calm = executor.run(b"calm").coverage
+        executor.run(b"Poison")
+        executor.run(b"after")      # diverges -> quarantined ground truth
+        hits_before = sentinel.stats.quarantine_hits
+        replay = executor.run(b"after").coverage
+        assert sentinel.stats.quarantine_hits == hits_before + 1
+        assert replay.hits
+        assert sorted(replay.hits) == [
+            index for index, value in enumerate(replay) if value
+        ]
+        assert coverage_signature(replay) == dense_classify(replay).tobytes()
+        sparse, dense = VirginMap(), DenseVirgin()
+        assert sparse.observe(calm) == dense.observe(calm)
+        assert sparse.would_be_new(replay) == dense.would_be_new(replay)
+        assert sparse.observe(replay) == dense.observe(replay)
+        assert sparse.to_bytes() == dense.virgin.tobytes()
 
 
 class TestEscalation:

@@ -9,16 +9,24 @@ folder and in the compiled-and-interpreted program.
 
 import random
 
-from hypothesis import HealthCheck, given, settings
+import numpy as np
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.fuzzing.coverage import classify
+from repro.fuzzing.coverage import (
+    VirginMap,
+    classify,
+    coverage_signature,
+    edge_count,
+)
 from repro.fuzzing.mutators import HavocMutator
+from repro.ir.module import Module
 from repro.ir.types import IntType, StructType, int_type
 from repro.vm.errors import CrashSite, VMTrap
 from repro.vm.heap import Heap
 from repro.vm.memory import AddressSpace
-from repro.vm.interpreter import COVERAGE_MAP_SIZE
+from repro.vm.interpreter import COVERAGE_MAP_SIZE, VM
+from tests.helpers import DenseVirgin, dense_classify
 
 SITE = CrashSite("prop", "prop")
 
@@ -118,6 +126,54 @@ class TestCoverageClassification:
             assert value == 0
         else:
             assert value in (1, 2, 4, 8, 16, 32, 64, 128)
+
+
+# A guard run: (location, how many times in a row).  Small locations make
+# prev_loc XORs collide; long runs drive a cell to the 0xFF saturation.
+guard_runs = st.lists(
+    st.tuples(
+        st.one_of(st.integers(0, 31), st.integers(0, COVERAGE_MAP_SIZE - 1)),
+        st.one_of(st.just(1), st.integers(1, 300)),
+    ),
+    max_size=24,
+)
+
+
+class TestSparseCoverage:
+    """The VM's hit list and every sparse fuzzer-side path agree with the
+    dense reference on real ``cov_guard`` maps."""
+
+    @given(st.lists(guard_runs, min_size=1, max_size=5))
+    # Second exec: a brand-new edge (cell 8) is hit before a known edge
+    # moves to a new bucket (cell 5: 1 -> 2 via a prev_loc collision);
+    # the verdict must stay NEW_EDGES.
+    @example([[(5, 1)], [(8, 1), (1, 1), (5, 1)]])
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_sparse_matches_dense(self, execs):
+        vm = VM(Module("prop"))
+        sparse, dense = VirginMap(), DenseVirgin()
+        shard_sparse, shard_dense = VirginMap(), DenseVirgin()
+        for runs in execs:
+            vm.reset_coverage()
+            for location, times in runs:
+                for _ in range(times):
+                    vm.cov_guard(location)
+            coverage = vm.coverage_map
+            nonzero = np.flatnonzero(np.frombuffer(bytes(coverage), np.uint8))
+
+            assert len(set(coverage.hits)) == len(coverage.hits)
+            assert sorted(coverage.hits) == nonzero.tolist()
+            assert edge_count(coverage) == len(nonzero)
+            signature = coverage_signature(coverage)
+            assert signature == dense_classify(coverage).tobytes()
+            assert sparse.would_be_new(coverage) == dense.would_be_new(coverage)
+            assert sparse.observe(coverage) == dense.observe(coverage)
+            assert sparse.to_bytes() == dense.virgin.tobytes()
+            assert (shard_sparse.observe_classified(signature)
+                    == shard_dense.observe_classified(signature))
+            assert shard_sparse.to_bytes() == shard_dense.virgin.tobytes()
+        assert sparse.edges_found() == int((dense.virgin != 0xFF).sum())
 
 
 class TestMutatorBounds:

@@ -117,6 +117,85 @@ class TestFaultClassification:
         assert info.value.site.block == "test_block"
 
 
+def bytewise_cstring(space, address, site, limit=1 << 16):
+    """Reference: the byte-at-a-time read ``read_cstring`` must match."""
+    out = bytearray()
+    current = address
+    while len(out) < limit:
+        byte = space.read(current, 1, site)[0]
+        if byte == 0:
+            return bytes(out)
+        out.append(byte)
+        current += 1
+    raise VMTrap(TrapKind.INVALID_READ, f"unterminated string at 0x{address:x}", site)
+
+
+def cstring_outcome(read, *args, **kwargs):
+    try:
+        return ("ok", read(*args, **kwargs))
+    except VMTrap as trap:
+        return ("trap", trap.kind, trap.message)
+
+
+class TestReadCString:
+    """``read_cstring`` scans whole regions; every outcome, trap kind and
+    message included, equals the byte-at-a-time reference."""
+
+    def assert_matches_bytewise(self, space, address, **kwargs):
+        got = cstring_outcome(space.read_cstring, address, SITE, **kwargs)
+        want = cstring_outcome(bytewise_cstring, space, address, SITE, **kwargs)
+        assert got == want
+        return got
+
+    def test_nul_first_byte(self, space):
+        region = space.map_region(space.heap_segment, 8, True, "heap", "a")
+        space.write(region.base, b"\x00abc", SITE)
+        assert self.assert_matches_bytewise(space, region.base) == ("ok", b"")
+
+    def test_string_ending_at_region_limit_faults_in_red_zone(self, space):
+        region = space.map_region(space.heap_segment, 8, True, "heap", "a")
+        space.write(region.base, b"abcdefgh", SITE)
+        outcome = self.assert_matches_bytewise(space, region.base + 3)
+        assert outcome[:2] == ("trap", TrapKind.INVALID_READ)
+        assert f"0x{region.limit:x} overruns" in outcome[2]
+
+    def test_global_overrun_is_array_oob(self, space):
+        region = space.map_region(space.global_segment, 4, False, "global", "g")
+        region.data[:] = b"abcd"
+        outcome = self.assert_matches_bytewise(space, region.base)
+        assert outcome[:2] == ("trap", TrapKind.ARRAY_OOB)
+
+    def test_zero_size_region(self, space):
+        region = space.map_region(space.heap_segment, 0, True, "heap", "empty")
+        outcome = self.assert_matches_bytewise(space, region.base)
+        assert outcome[0] == "trap"
+
+    def test_limit_cuts_off(self, space):
+        region = space.map_region(space.heap_segment, 32, True, "heap", "a")
+        space.write(region.base, b"x" * 10 + b"\x00", SITE)
+        for limit in (0, 1, 9, 10):
+            outcome = self.assert_matches_bytewise(space, region.base, limit=limit)
+            assert outcome == ("trap", TrapKind.INVALID_READ,
+                               f"unterminated string at 0x{region.base:x}")
+        assert self.assert_matches_bytewise(
+            space, region.base, limit=11) == ("ok", b"x" * 10)
+
+    def test_limit_inside_red_zone_wins_over_fault(self, space):
+        region = space.map_region(space.heap_segment, 4, True, "heap", "a")
+        space.write(region.base, b"abcd", SITE)
+        outcome = self.assert_matches_bytewise(space, region.base, limit=4)
+        assert outcome[2].startswith("unterminated string")
+
+    def test_unmapped_and_freed_addresses(self, space):
+        region = space.map_region(space.heap_segment, 8, True, "heap", "a")
+        space.unmap(region)
+        assert self.assert_matches_bytewise(space, region.base)[1] is \
+            TrapKind.USE_AFTER_FREE
+        assert self.assert_matches_bytewise(space, 0)[1] is TrapKind.NULL_DEREF
+        assert self.assert_matches_bytewise(space, 0x5000_0000)[1] is \
+            TrapKind.UNADDRESSABLE
+
+
 class TestHelpers:
     def test_int_roundtrip(self, space):
         region = space.map_region(space.heap_segment, 16, True, "heap", "a")
