@@ -26,8 +26,7 @@ from repro.ir.values import ConstantInt
 from repro.ir.types import int_type
 from repro.passes.base import ModulePass, PassResult
 from repro.vm.interpreter import COVERAGE_MAP_SIZE
-
-COV_GUARD = "__cov_guard"
+from repro.vm.libc import COV_GUARD
 
 
 class CoveragePass(ModulePass):

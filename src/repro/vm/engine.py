@@ -21,6 +21,10 @@ Each block is split into **segments**: runs of instructions that end
 at a ``call`` or at the terminator.  A segment's virtual cost,
 instruction count and opcode counts are charged once, before it runs,
 so a callee (and any native it reaches) always sees exact counters.
+The exception is the coverage guard, ``call @__cov_guard(iN K)`` with
+a constant id: it lowers to a closure that does the AFL edge update
+itself, charges and counts what the native call would, and does not
+end its segment (it reads neither counter and cannot trap).
 Three rules keep the counters identical to per-instruction charging:
 
 - an instruction that traps mid-segment refunds the cost, count and
@@ -30,6 +34,16 @@ Three rules keep the counters identical to per-instruction charging:
   exactly the instruction it always did;
 - phi nodes are charged on block entry after they are evaluated, and
   are not limit-checked, as before.
+
+Loads and stores call the address space's per-width accessor
+(:func:`~repro.vm.memory.int_reader` / ``int_writer``: one bisection,
+one bounds test, a ``struct`` unpack/pack) directly, with no method
+lookup.  When the pointer is an ``alloca`` of the same function that
+dominates the access, and the access fits the allocation at offset 0,
+the alloca's region sits in a frame slot and the access reads or
+writes its bytes with no lookup at all.  The region lives in the
+frame, never in the closure, because compiled code is shared by every
+VM.
 
 A use whose definition does not dominate it (or that names a value
 this frame can never define) is compiled with a run-time check that
@@ -71,6 +85,8 @@ from repro.ir.values import (
 )
 from repro.vm import semantics
 from repro.vm.errors import ExecutionLimitExceeded, TrapKind, VMTrap
+from repro.vm.libc import COV_GUARD, NATIVE_BASE_COST
+from repro.vm.memory import int_codec, int_reader, int_writer
 
 # Per-opcode virtual-ns costs.  One MiniIR instruction stands for the
 # short native sequence clang -O0 emits for it (address computation,
@@ -86,9 +102,14 @@ PHI_COST = INST_COST[Phi]
 
 _U64_MASK = (1 << 64) - 1
 
+COVERAGE_MAP_SIZE = 1 << 16
+_MAP_MASK = COVERAGE_MAP_SIZE - 1
+_GUARD_COST = NATIVE_BASE_COST[COV_GUARD]
+
 
 class Segment:
-    """Straight-line run of instructions charged as one unit.
+    """Straight-line run of instructions charged as one unit, ending at
+    a call (other than a constant-id coverage guard) or the terminator.
 
     ``ops`` are the closures of its non-terminator instructions;
     ``costs``/``names`` cover every instruction it charges, the block's
@@ -127,7 +148,7 @@ class CompiledFunction:
     """One function lowered for the VM, shared by every VM that runs it."""
 
     __slots__ = ("epoch", "entry", "template", "globals",
-                 "arg_count", "ret_slot", "regions_slot", "short_args")
+                 "arg_count", "ret_slot", "allocas_slot", "short_args")
 
     def __init__(self, epoch: int):
         self.epoch = epoch
@@ -136,7 +157,7 @@ class CompiledFunction:
         self.globals: list[tuple[int, str]] = []
         self.arg_count = 0
         self.ret_slot = 0
-        self.regions_slot = -1          # -1: the function has no alloca
+        self.allocas_slot = -1          # the frame's alloca bases; -1: no alloca
         # Variants for calls passing fewer arguments than declared.
         self.short_args: dict[int, "CompiledFunction"] = {}
 
@@ -281,6 +302,7 @@ class _Lowering:
         self.slots: dict = {}            # SSA value / global -> slot
         self.constants: dict = {}        # constant int -> slot
         self.poison: dict = {}           # never-defined value -> (slot, check)
+        self.region_slots: dict = {}     # alloca -> slot of its current region
         self.defined_at: dict = {}       # instruction -> (BasicBlock, index)
         self.at: tuple = (None, 0)       # position of the instruction being lowered
         self._domtree = None
@@ -399,7 +421,7 @@ class _Lowering:
             ops.append(self._lower(inst, bb, index))
             costs.append(INST_COST.get(cls, 2))
             names.append(cls.__name__)
-            if cls is Call:
+            if cls is Call and not _is_cov_guard(inst):
                 segments.append(Segment(ops, costs, names))
                 ops, costs, names = [], [], []
         if term is not None:
@@ -537,20 +559,55 @@ class _Lowering:
             r[d] = fn(lhs, rhs)
         return icmp
 
+    def _region_slot(self, alloca: Alloca) -> int:
+        slot = self.region_slots.get(alloca)
+        if slot is None:
+            slot = self.region_slots[alloca] = self._new_slot()
+        return slot
+
+    def _frame_region(self, ptr, size: int) -> int | None:
+        """Slot holding *ptr*'s region when *ptr* is an alloca of this
+        function that dominates the access and *size* bytes fit it at
+        offset 0; ``None`` when the access must look its address up."""
+        if type(ptr) is not Alloca or ptr not in self.defined_at:
+            return None
+        if not 0 < size <= ptr.allocation_size():
+            return None
+        if not self._dominates(self.defined_at[ptr], *self.at):
+            return None
+        return self._region_slot(ptr)
+
     def _load(self, inst: Load, use):
         p, d, size = use(inst.ptr), self.slots[inst], inst.type.size()
+        frame_region = self._frame_region(inst.ptr, size)
+        if frame_region is not None:
+            unpack = int_codec(size)[0]
+
+            def load_frame(vm, r):
+                r[d] = unpack(r[frame_region].data)[0]
+            return load_frame
+        read = int_reader(size)
 
         def load(vm, r):
-            r[d] = vm.memory.read_int(r[p], size, vm.site)
+            r[d] = read(vm.memory, r[p], vm.site)
         return load
 
     def _store(self, inst: Store, use):
         p = use(inst.ptr)
         v = use(inst.value)
         size = inst.value.type.size()
+        frame_region = self._frame_region(inst.ptr, size)
+        if frame_region is not None:
+            pack, mask = int_codec(size)[1], (1 << (size << 3)) - 1
+
+            def store_frame(vm, r):
+                pack(r[frame_region].data, 0, r[v] & mask)
+                vm.memory.bytes_written += size
+            return store_frame
+        write = int_writer(size)
 
         def store(vm, r):
-            vm.memory.write_int(r[p], r[v], size, vm.site)
+            write(vm.memory, r[p], r[v], vm.site)
         return store
 
     def _gep(self, inst: GetElementPtr, use):
@@ -632,21 +689,24 @@ class _Lowering:
         d, size = self.slots[inst], inst.allocation_size()
         tag = f"{self.function.name}.{inst.name}"
         code = self.code
-        if code.regions_slot < 0:
-            code.regions_slot = self._new_slot()
-        regions = code.regions_slot
+        if code.allocas_slot < 0:
+            code.allocas_slot = self._new_slot()
+        allocas, slot = code.allocas_slot, self._region_slot(inst)
 
         def alloca(vm, r):
             memory = vm.memory
             region = memory.map_region(memory.stack_segment, size, True, "stack", tag)
-            r[regions].append(region)
-            r[d] = region.base
+            r[slot] = region
+            r[d] = base = region.base
+            r[allocas].append(base)
         return alloca
 
     def _call(self, inst: Call, use):
         callee = inst.callee
         if not isinstance(callee, Function):
             return _trap_op(TrapKind.ABORT, f"indirect call through {callee.ref()}")
+        if _is_cov_guard(inst):
+            return _cov_guard(inst.args[0].value)
         slots = [use(arg) for arg in inst.args]
         d = -1 if inst.type.is_void else self.slots[inst]
         function_name, block_name = self.function.name, inst.parent.name
@@ -666,6 +726,41 @@ class _Lowering:
 
     def _misplaced_phi(self, inst: Phi, use):
         return _trap_op(TrapKind.ABORT, f"unknown instruction {inst}")
+
+
+def _is_cov_guard(inst: Call) -> bool:
+    """A ``call void @__cov_guard(iN K)`` of the declared guard with a
+    constant id: lowered inline, and it does not end its segment."""
+    callee = inst.callee
+    return (isinstance(callee, Function) and callee.name == COV_GUARD
+            and callee.is_declaration and inst.type.is_void
+            and len(inst.args) == 1 and type(inst.args[0]) is ConstantInt)
+
+
+def _cov_guard(cur_loc: int):
+    """The guard native and ``VM.cov_guard`` in one closure: the AFL
+    edge update for block id *cur_loc*, priced and counted as the call
+    to the native would be."""
+    loc = cur_loc & _MAP_MASK
+    next_loc = (cur_loc >> 1) & _MAP_MASK
+
+    def cov_guard(vm, r):
+        counts = vm.libc_counts
+        if counts is not None:
+            counts[COV_GUARD] = counts.get(COV_GUARD, 0) + 1
+        vm.cost += _GUARD_COST
+        index = loc ^ vm.prev_loc
+        coverage = vm.coverage_map
+        value = coverage[index]
+        if value == 0:
+            coverage.hits.append(index)
+            coverage[index] = 1
+        elif value != 0xFF:
+            coverage[index] = value + 1
+        vm.prev_loc = next_loc
+        if vm.trace_edges:
+            vm.edge_trace.append((vm.site.function, index))
+    return cov_guard
 
 
 def _return_void(vm, r):
@@ -691,4 +786,4 @@ _LOWER = {
     Phi: _Lowering._misplaced_phi,
 }
 
-__all__ = ["INST_COST", "CompiledFunction", "compiled", "execute"]
+__all__ = ["COVERAGE_MAP_SIZE", "INST_COST", "CompiledFunction", "compiled", "execute"]

@@ -7,17 +7,22 @@ exactly the contract ClosureX's GlobalPass and harness rely on.
 
 Execution runs on the compiled engine (:mod:`repro.vm.engine`): each
 function is lowered once into pre-bound closures over a flat slot
-frame, its blocks split into segments that end at a ``call`` or at the
-terminator.  A segment's virtual cost and instruction count are
-charged before it runs and refunded for the instructions after a
-mid-segment trap, and a segment that would cross the instruction limit
-runs instruction by instruction, so every counter matches
-per-instruction charging exactly.  All values are Python ints in
-unsigned representation (semantics in :mod:`repro.vm.semantics`);
-pointers are addresses in the VM's address space.  The virtual
-nanoseconds every instruction charges to the VM clock are what the
-simulated-OS cost model and the throughput experiments (Table 5) are
-built on.
+frame, its blocks split into segments that end at a ``call`` (coverage
+guards excepted: they run inline) or at the terminator.  A segment's
+virtual cost and instruction count are charged before it runs and
+refunded for the instructions after a mid-segment trap, and a segment
+that would cross the instruction limit runs instruction by
+instruction, so every counter matches per-instruction charging
+exactly.  Loads and stores call the address space's per-width
+accessor directly, or, through a dominating ``alloca`` of their own
+frame, look nothing up at all.  A frame's
+``alloca`` regions are appended to the stack tail of the address
+space and unmapped as one slice when :meth:`VM.invoke` returns.  All
+values are Python ints in unsigned representation (semantics in
+:mod:`repro.vm.semantics`); pointers are addresses in the VM's
+address space.  The virtual nanoseconds every instruction charges to
+the VM clock are what the simulated-OS cost model and the throughput
+experiments (Table 5) are built on.
 """
 
 from __future__ import annotations
@@ -26,14 +31,12 @@ import itertools
 
 from repro.ir.module import Function, Module
 from repro.ir.values import GlobalVariable
-from repro.vm.engine import CompiledFunction, compiled, execute
+from repro.vm.engine import COVERAGE_MAP_SIZE, CompiledFunction, compiled, execute
 from repro.vm.errors import TrapKind, VMTrap
 from repro.vm.filesystem import FDTable, VirtualFS
 from repro.vm.heap import Heap
 from repro.vm.libc import NATIVE_BASE_COST, NATIVES, NativeFn
 from repro.vm.memory import AddressSpace, MemoryRegion
-
-COVERAGE_MAP_SIZE = 1 << 16
 
 
 class CoverageMap(bytearray):
@@ -252,7 +255,9 @@ class VM:
         self.prev_loc = 0
 
     def cov_guard(self, cur_loc: int) -> None:
-        """AFL-style edge coverage update (called by instrumented code)."""
+        """AFL-style edge coverage update: the ``__cov_guard`` native.
+        Constant-id guards in compiled code do the same update inline
+        (``engine._cov_guard``)."""
         index = (cur_loc ^ self.prev_loc) & (COVERAGE_MAP_SIZE - 1)
         coverage = self.coverage_map
         value = coverage[index]
@@ -291,19 +296,17 @@ class VM:
         else:  # extra arguments are ignored, missing ones stay undefined
             count = min(count, len(args))
             frame[:count] = args[:count]
-        regions = code.regions_slot
-        if regions >= 0:
-            frame[regions] = []
+        allocas = code.allocas_slot
+        if allocas >= 0:
+            frame[allocas] = []
         self._call_depth += 1
         self.site.function = function.name
         try:
             return execute(self, code, frame)
         finally:
             self._call_depth -= 1
-            if regions >= 0:
-                for region in frame[regions]:
-                    if region.alive:
-                        self.memory.unmap(region)
+            if allocas >= 0:
+                self.memory.pop_frame(frame[allocas])
 
     def _frame_template(self, code: CompiledFunction) -> list:
         """*code*'s frame template with this process's global addresses."""
@@ -331,7 +334,7 @@ class VM:
     # ------------------------------------------------------------------
 
     def stack_region_count(self) -> int:
-        return len(self.memory.live_regions("stack"))
+        return self.memory.stack_region_count()
 
     def reset_stack_addresses(self) -> None:
         """Rewind the stack segment's bump cursor.
@@ -343,7 +346,7 @@ class VM:
         the correctness experiments rely on for bytewise snapshot
         comparison.
         """
-        if self.memory.live_regions("stack"):
+        if self.memory.stack_region_count():
             raise RuntimeError("cannot rewind stack with live frames")
         self.memory.stack_segment.reset()
         self.memory.forget_dead_regions()

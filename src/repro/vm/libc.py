@@ -43,6 +43,9 @@ NativeFn = Callable[["VM", list[int], CrashSite], "int | None"]
 
 FILE_PTR = I8_PTR  # FILE* is modelled as an opaque i8*
 
+#: The coverage guard the CoveragePass calls once per basic block.
+COV_GUARD = "__cov_guard"
+
 
 LIBC_SIGNATURES: dict[str, FunctionType] = {
     # memory management
@@ -382,8 +385,8 @@ NATIVES: dict[str, NativeFn] = {
     "srand": _native_srand,
     "time": _native_time,
     "closurex_exit_hook": _native_closurex_exit_hook,
-    "__cov_guard": _native_cov_guard,
+    COV_GUARD: _native_cov_guard,
 }
 
 NATIVE_BASE_COST["closurex_exit_hook"] = 25
-NATIVE_BASE_COST["__cov_guard"] = 2
+NATIVE_BASE_COST[COV_GUARD] = 2

@@ -11,12 +11,29 @@ Address lookup uses bisection over the sorted region bases.  Freed
 regions are remembered in a bounded FIFO so the memcheck layer can
 distinguish *use-after-free* from plain *unaddressable* accesses —
 the same distinction Valgrind draws in the paper's §6.1.4 validation.
+
+The stack segment sits above the global and heap segments, and its
+bump cursor only grows until every frame is gone and it is rewound.
+So the live stack regions are always the tail of the sorted bases, in
+allocation order: :meth:`AddressSpace.map_region` appends a frame's
+``alloca`` without a bisection, :meth:`AddressSpace.pop_frame` unmaps a
+returning frame as one tail slice, and counting the live stack regions
+is one bisection.
+
+Integer loads and stores go through :func:`int_reader` /
+:func:`int_writer`: one function per access width, built once, that
+does the bisection, the bounds test and a ``struct`` unpack/pack on the
+region's bytes.  The compiled engine calls them directly;
+:meth:`AddressSpace.read_int` / :meth:`~AddressSpace.write_int` are
+the same functions looked up by width.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 from collections import OrderedDict
+from struct import Struct
 
 from repro.vm.errors import CrashSite, TrapKind, VMTrap
 
@@ -40,7 +57,7 @@ class Segment:
     def reserve(self, size: int, align: int = 16) -> int:
         """Reserve *size* bytes; returns the base address."""
         start = (self.cursor + align - 1) // align * align
-        if start + size > self.limit:
+        if start + size > self.base + self.size:
             raise MemoryError(f"segment {self.name} exhausted")
         self.cursor = start + size
         return start
@@ -109,8 +126,13 @@ class AddressSpace:
                    kind: str, tag: str = "") -> MemoryRegion:
         base = segment.reserve(max(size, 1) + RED_ZONE)
         region = MemoryRegion(base, size, writable, kind, tag)
-        index = bisect.bisect_left(self._bases, base)
-        self._bases.insert(index, base)
+        bases = self._bases
+        # A region above every other one (each stack alloca, and every
+        # region of a segment above all live ones) is appended.
+        if not bases or bases[-1] < base:
+            bases.append(base)
+        else:
+            bisect.insort(bases, base)
         self._regions[base] = region
         return region
 
@@ -124,6 +146,31 @@ class AddressSpace:
         self._dead[region.base] = region
         while len(self._dead) > self.DEAD_REGION_MEMORY:
             self._dead.popitem(last=False)
+
+    def pop_frame(self, frame: list[int]) -> None:
+        """Unmap a returning frame's stack regions, given by base in
+        allocation order, leaving the same state as unmapping them one
+        by one.
+
+        They are normally the tail of the bases and go as one slice;
+        otherwise each one still live is unmapped on its own.
+        """
+        bases, live = self._bases, self._regions
+        start = len(bases) - len(frame)
+        if start < 0 or bases[start:] != frame:
+            for base in frame:
+                region = live.get(base)
+                if region is not None:
+                    self.unmap(region)
+            return
+        del bases[start:]
+        dead = self._dead
+        for base in frame:
+            region = live.pop(base)
+            region.alive = False
+            dead[base] = region
+        while len(dead) > self.DEAD_REGION_MEMORY:
+            dead.popitem(last=False)
 
     def forget_dead_regions(self) -> None:
         """Drop the freed-region memory (called when cursors rewind,
@@ -147,6 +194,11 @@ class AddressSpace:
             if region.contains(address):
                 return region
         return None
+
+    def stack_region_count(self) -> int:
+        """Live stack regions: the bases from the stack segment's up."""
+        bases = self._bases
+        return len(bases) - bisect.bisect_left(bases, self.stack_segment.base)
 
     def live_regions(self, kind: str | None = None) -> list[MemoryRegion]:
         regions = list(self._regions.values())
@@ -226,29 +278,10 @@ class AddressSpace:
         self.bytes_written += len(data)
 
     def read_int(self, address: int, size: int, site: CrashSite) -> int:
-        bases = self._bases
-        index = bisect.bisect_right(bases, address) - 1
-        if index >= 0:
-            region = self._regions[bases[index]]
-            offset = address - region.base
-            if offset < region.size and offset + size <= region.size:
-                return int.from_bytes(region.data[offset:offset + size], "little")
-        raise self._fault(address, size, False, site)
+        return int_reader(size)(self, address, site)
 
     def write_int(self, address: int, value: int, size: int, site: CrashSite) -> None:
-        bases = self._bases
-        index = bisect.bisect_right(bases, address) - 1
-        if index >= 0:
-            region = self._regions[bases[index]]
-            offset = address - region.base
-            if offset < region.size and offset + size <= region.size:
-                if not region.writable:
-                    raise self._read_only(region, address, site)
-                region.data[offset:offset + size] = (
-                    value & ((1 << (size << 3)) - 1)).to_bytes(size, "little")
-                self.bytes_written += size
-                return
-        raise self._fault(address, size, True, site)
+        int_writer(size)(self, address, value, site)
 
     def read_cstring(self, address: int, site: CrashSite, limit: int = 1 << 16) -> bytes:
         """Read a NUL-terminated string (without the terminator).
@@ -281,3 +314,69 @@ class AddressSpace:
 
     def region_count(self) -> int:
         return len(self._regions)
+
+
+# Little-endian unsigned codecs for the power-of-two access widths;
+# any other width slices the bytes.
+_STRUCTS = {1: Struct("<B"), 2: Struct("<H"), 4: Struct("<I"), 8: Struct("<Q")}
+
+
+def int_codec(size: int):
+    """``(unpack, pack)`` for a *size*-byte little-endian unsigned int:
+    ``unpack(data, offset=0)`` returns a 1-tuple, ``pack(data, offset,
+    value)`` stores a value already masked to the width."""
+    codec = _STRUCTS.get(size)
+    if codec is not None:
+        return codec.unpack_from, codec.pack_into
+
+    def unpack(data, offset=0):
+        return (int.from_bytes(data[offset:offset + size], "little"),)
+
+    def pack(data, offset, value):
+        data[offset:offset + size] = value.to_bytes(size, "little")
+    return unpack, pack
+
+
+# Both accessors are one bisection and one bounds test on the region
+# found; anything outside a live region takes _fault.  A zero-width
+# access still needs its address inside the region.
+
+@functools.cache
+def int_reader(size: int):
+    """``read(space, address, site)``: the checked *size*-byte load."""
+    unpack = int_codec(size)[0]
+    need = max(size, 1)
+
+    def read_int(space: AddressSpace, address: int, site: CrashSite) -> int:
+        bases = space._bases
+        index = bisect.bisect_right(bases, address) - 1
+        if index >= 0:
+            region = space._regions[bases[index]]
+            offset = address - region.base
+            if offset + need <= region.size:
+                return unpack(region.data, offset)[0]
+        raise space._fault(address, size, False, site)
+    return read_int
+
+
+@functools.cache
+def int_writer(size: int):
+    """``write(space, address, value, site)``: the checked *size*-byte
+    store of *value* truncated to the width."""
+    pack = int_codec(size)[1]
+    need, mask = max(size, 1), (1 << (size << 3)) - 1
+
+    def write_int(space: AddressSpace, address: int, value: int, site: CrashSite) -> None:
+        bases = space._bases
+        index = bisect.bisect_right(bases, address) - 1
+        if index >= 0:
+            region = space._regions[bases[index]]
+            offset = address - region.base
+            if offset + need <= region.size:
+                if not region.writable:
+                    raise space._read_only(region, address, site)
+                pack(region.data, offset, value & mask)
+                space.bytes_written += size
+                return
+        raise space._fault(address, size, True, site)
+    return write_int

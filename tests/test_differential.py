@@ -10,7 +10,6 @@ import random
 
 import pytest
 
-from repro.execution import ClosureXExecutor, FreshProcessExecutor
 from repro.execution.differential import (
     ALL_FIELDS,
     REPLAY_BOOT_TIME,
@@ -18,7 +17,6 @@ from repro.execution.differential import (
     observe,
 )
 from repro.runtime.harness import IterationStatus
-from repro.sim_os import Kernel
 from repro.targets import get_target, target_names
 
 
@@ -36,45 +34,44 @@ def random_inputs(spec, count=25, seed=99):
     return out
 
 
+# Exit dispositions map onto each other: fresh EXIT == hooked EXIT.
+DISPOSITION = {
+    IterationStatus.OK: "done",
+    IterationStatus.EXIT: "done",
+    IterationStatus.PROCESS_EXIT: "done",
+    IterationStatus.CRASH: "crash",
+    IterationStatus.HANG: "hang",
+}
+
+
 @pytest.mark.parametrize("name", sorted(target_names()))
 def test_closurex_matches_fresh_baseline(name):
     spec = get_target(name)
-    fresh = FreshProcessExecutor(spec.build_baseline(), spec.image_bytes, Kernel())
-    closurex = ClosureXExecutor(spec.build_closurex(), spec.image_bytes, Kernel())
-    closurex.boot()
+    baseline, closurex = spec.build_baseline(), spec.build_closurex()
+    inputs = random_inputs(spec)
 
-    for data in random_inputs(spec):
-        fresh_result = fresh.run(data)
-        closurex_result = closurex.run(data)
+    for index, data in enumerate(inputs):
+        fresh = observe(baseline, data)
+        # The persistent process has run every earlier input first.
+        persistent = observe(closurex, data, pollution=inputs[:index])
 
         if name == "freetype":
             # PRNG-seeded control flow: dispositions may legitimately
             # differ across processes; skip strict comparison.
             continue
 
-        # Exit dispositions map onto each other: fresh EXIT == hooked EXIT.
-        fresh_kind = fresh_result.status
-        cx_kind = closurex_result.status
-        normalised = {
-            IterationStatus.OK: "done",
-            IterationStatus.EXIT: "done",
-            IterationStatus.PROCESS_EXIT: "done",
-            IterationStatus.CRASH: "crash",
-            IterationStatus.HANG: "hang",
-        }
-        assert normalised[fresh_kind] == normalised[cx_kind], (
-            f"{name}: {data[:20]!r} fresh={fresh_kind} closurex={cx_kind}"
+        fresh_kind = DISPOSITION[fresh.status]
+        assert fresh_kind == DISPOSITION[persistent.status], (
+            f"{name}: {data[:20]!r} fresh={fresh.status} closurex={persistent.status}"
         )
-        if normalised[fresh_kind] == "done":
-            assert fresh_result.return_code == closurex_result.return_code, (
-                f"{name}: return codes diverge on {data[:20]!r}"
-            )
+        if fresh_kind == "done":
             # identical edge ids + identical execution => identical map
-            assert bytes(fresh_result.coverage) == bytes(closurex_result.coverage), (
-                f"{name}: coverage maps diverge on {data[:20]!r}"
+            assert diff(fresh, persistent, ("return_code", "coverage")) is None, (
+                f"{name}: {diff(fresh, persistent, ('return_code', 'coverage'))} "
+                f"on {data[:20]!r}"
             )
         else:
-            assert fresh_result.trap.kind == closurex_result.trap.kind, (
+            assert fresh.trap.kind == persistent.trap.kind, (
                 f"{name}: trap kinds diverge on {data[:20]!r}"
             )
 

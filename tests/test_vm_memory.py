@@ -207,6 +207,16 @@ class TestHelpers:
         space.write_int(region.base, -1, 4, SITE)
         assert space.read_int(region.base, 4, SITE) == 0xFFFFFFFF
 
+    def test_zero_width_int_access_needs_an_address_inside(self, space):
+        region = space.map_region(space.heap_segment, 8, True, "heap", "a")
+        assert space.read_int(region.base + 7, 0, SITE) == 0
+        for address in (region.limit, region.limit + 1):
+            with pytest.raises(VMTrap):
+                space.read_int(address, 0, SITE)
+            with pytest.raises(VMTrap):
+                space.write_int(address, 5, 0, SITE)
+        assert space.bytes_written == 0
+
     def test_cstring(self, space):
         region = space.map_region(space.heap_segment, 16, True, "heap", "a")
         space.write(region.base, b"hi\x00junk", SITE)
